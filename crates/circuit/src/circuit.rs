@@ -184,14 +184,24 @@ impl Circuit {
     /// `weight(instr)` — the critical-path duration metric MIRAGE optimizes
     /// (paper §IV-B).
     pub fn weighted_depth<F: Fn(&Instruction) -> f64>(&self, weight: F) -> f64 {
+        self.weighted_depth_indexed(|_, instr| weight(instr))
+    }
+
+    /// [`Circuit::weighted_depth`] with a weight function that also sees
+    /// each instruction's index, for weights kept in a table beside the
+    /// circuit. Same walk, so equal weights give bit-identical depths.
+    pub fn weighted_depth_indexed<F: FnMut(usize, &Instruction) -> f64>(
+        &self,
+        mut weight: F,
+    ) -> f64 {
         let mut ready = vec![0.0f64; self.n_qubits];
-        for instr in &self.instructions {
+        for (i, instr) in self.instructions.iter().enumerate() {
             let start = instr
                 .qubits
                 .iter()
                 .map(|&q| ready[q])
                 .fold(0.0f64, f64::max);
-            let end = start + weight(instr);
+            let end = start + weight(i, instr);
             for &q in &instr.qubits {
                 ready[q] = end;
             }

@@ -21,6 +21,11 @@
 //!   calls — [`crate::trials::TrialEngine`] pools scratches so refinement
 //!   passes, routing trials, and serve jobs stop paying per-call
 //!   allocation. [`route`] is the convenience wrapper that brings its own.
+//! * Output is optional. The router has one body, which takes an optional
+//!   emit sink: [`route_with_scratch`] emits into a [`Circuit`], the trial
+//!   engine's routing trials also record each instruction's Weyl class,
+//!   and SABRE refinement passes emit nothing — they keep only the final
+//!   layout, so they build no instruction list at all.
 //! * Candidate SWAPs are ranked by **delta scoring**: the per-node
 //!   residual distances of the front and extended sets are computed once
 //!   per SWAP step, and each candidate re-prices only the nodes whose
@@ -41,7 +46,7 @@
 
 use crate::layout::Layout;
 use crate::target::Target;
-use mirage_circuit::{Circuit, Dag, Gate, Instruction};
+use mirage_circuit::{Circuit, Dag, Gate};
 use mirage_coverage::cache::CostMemo;
 use mirage_math::{Mat4, Rng};
 use mirage_topology::CouplingMap;
@@ -244,6 +249,13 @@ impl RouterScratch {
         RouterScratch::default()
     }
 
+    /// The scratch's `(class, edge) → cost` memo, for cost queries made
+    /// beside routing (post-selection reads candidates' cost records
+    /// through it).
+    pub(crate) fn cost_memo(&mut self) -> &mut CostMemo {
+        &mut self.cost_memo
+    }
+
     /// Grow the per-node and per-qubit arrays to fit a routing problem.
     fn prepare(&mut self, n_nodes: usize, n_phys: usize) {
         if self.node_mark.len() < n_nodes {
@@ -396,12 +408,93 @@ pub fn route_with_scratch(
     rng: &mut Rng,
     scratch: &mut RouterScratch,
 ) -> RoutedCircuit {
+    let initial_layout = layout.clone();
+    let mut circuit = Circuit::new(target.n_qubits());
+    let pass = route_core(
+        dag,
+        coords,
+        target,
+        layout,
+        config,
+        rng,
+        scratch,
+        Some(&mut circuit),
+    );
+    RoutedCircuit {
+        circuit,
+        initial_layout,
+        final_layout: pass.final_layout,
+        swaps_inserted: pass.swaps_inserted,
+        mirrors_accepted: pass.mirrors_accepted,
+        mirror_candidates: pass.mirror_candidates,
+    }
+}
+
+/// Receiver of the instructions a routing pass emits, in circuit order.
+///
+/// [`Circuit`] is the plain sink; the trial engine's sink also records
+/// each instruction's Weyl class for post-selection.
+pub(crate) trait EmitSink {
+    /// DAG node `id` runs as written on the physical `qubits`.
+    fn node(&mut self, dag: &Dag, id: usize, qubits: &[usize]);
+    /// Two-qubit DAG node `id` runs as its mirror `SWAP·U` on `(p1, p2)`.
+    fn mirror(&mut self, dag: &Dag, id: usize, p1: usize, p2: usize);
+    /// A routing SWAP on `(p1, p2)`.
+    fn swap(&mut self, p1: usize, p2: usize);
+}
+
+impl EmitSink for Circuit {
+    fn node(&mut self, dag: &Dag, id: usize, qubits: &[usize]) {
+        self.push(dag.nodes[id].gate.clone(), qubits);
+    }
+
+    fn mirror(&mut self, dag: &Dag, id: usize, p1: usize, p2: usize) {
+        self.push(mirror_gate(&dag.nodes[id].gate), &[p1, p2]);
+    }
+
+    fn swap(&mut self, p1: usize, p2: usize) {
+        self.push(Gate::Swap, &[p1, p2]);
+    }
+}
+
+/// The mirror block `SWAP·U` of a two-qubit gate: the gate the router
+/// emits for an accepted mirror and absorption writes for a fused SWAP.
+pub(crate) fn mirror_gate(gate: &Gate) -> Gate {
+    Gate::Unitary2(Mat4::swap().mul(&gate.matrix2()))
+}
+
+/// What one routing pass did, apart from the instructions it emitted.
+#[derive(Debug)]
+pub(crate) struct RoutePass {
+    /// Layout at circuit end.
+    pub(crate) final_layout: Layout,
+    /// SWAP gates inserted.
+    pub(crate) swaps_inserted: usize,
+    /// Mirror gates accepted.
+    pub(crate) mirrors_accepted: usize,
+    /// Two-qubit gates that went through the intermediate layer.
+    pub(crate) mirror_candidates: usize,
+}
+
+/// The router's one body. Instructions go to `sink`; with no sink the
+/// pass only evolves the layout (SABRE refinement keeps nothing but the
+/// final layout). Every decision, RNG draw and layout step is the same
+/// with or without a sink.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn route_core(
+    dag: &Dag,
+    coords: &[Option<WeylCoord>],
+    target: &Target,
+    layout: Layout,
+    config: &RouterConfig,
+    rng: &mut Rng,
+    scratch: &mut RouterScratch,
+    mut sink: Option<&mut dyn EmitSink>,
+) -> RoutePass {
     let topo = target.topology();
     let n_phys = topo.n_qubits();
     assert!(dag.n_qubits <= n_phys, "circuit larger than device");
-    let initial_layout = layout.clone();
     let mut layout = layout;
-    let mut out = Circuit::new(n_phys);
 
     scratch.prepare(dag.len(), n_phys);
     let RouterScratch {
@@ -487,7 +580,9 @@ pub fn route_with_scratch(
 
             match node.qubits.len() {
                 1 => {
-                    out.push(node.gate.clone(), &[layout.phys(node.qubits[0])]);
+                    if let Some(sink) = sink.as_deref_mut() {
+                        sink.node(dag, id, &[layout.phys(node.qubits[0])]);
+                    }
                 }
                 2 => {
                     let (l1, l2) = (node.qubits[0], node.qubits[1]);
@@ -551,13 +646,16 @@ pub fn route_with_scratch(
                         if aggr.accept(cost_current, cost_trial) {
                             accepted = true;
                             mirrors_accepted += 1;
-                            let u = node.gate.matrix2();
-                            out.push(Gate::Unitary2(Mat4::swap().mul(&u)), &[p1, p2]);
+                            if let Some(sink) = sink.as_deref_mut() {
+                                sink.mirror(dag, id, p1, p2);
+                            }
                             layout.swap_physical(p1, p2);
                         }
                     }
                     if !accepted {
-                        out.push(node.gate.clone(), &[p1, p2]);
+                        if let Some(sink) = sink.as_deref_mut() {
+                            sink.node(dag, id, &[p1, p2]);
+                        }
                     }
                 }
                 _ => unreachable!(),
@@ -742,7 +840,9 @@ pub fn route_with_scratch(
             (p1, p2)
         };
 
-        out.push(Gate::Swap, &[p1, p2]);
+        if let Some(sink) = sink.as_deref_mut() {
+            sink.swap(p1, p2);
+        }
         layout.swap_physical(p1, p2);
         swaps_inserted += 1;
         for p in [p1, p2] {
@@ -761,9 +861,7 @@ pub fn route_with_scratch(
         }
     }
 
-    RoutedCircuit {
-        circuit: out,
-        initial_layout,
+    RoutePass {
         final_layout: layout,
         swaps_inserted,
         mirrors_accepted,
@@ -790,23 +888,44 @@ pub fn route_with_scratch(
 /// absorbed. The rewrite is local — wire semantics are unchanged, so
 /// layouts need no adjustment.
 pub fn absorb_adjacent_swaps(c: &Circuit) -> (Circuit, usize) {
-    let mut out: Vec<Instruction> = Vec::with_capacity(c.instructions.len());
-    // last_touch[q] = index (into `out`) of the latest instruction on q.
+    let mut out = c.clone();
+    let fused = absorb_in_place(&mut out, None);
+    (out, fused)
+}
+
+/// [`absorb_adjacent_swaps`] rewriting `c` in place, so a caller that owns
+/// the routed circuit pays no per-instruction copy. `classes`, when given,
+/// is a per-instruction side table (the Weyl class of each two-qubit
+/// instruction) kept aligned with `c`: a fused SWAP's entry is dropped and
+/// the block it fused into gets the class of its new matrix. Returns the
+/// number of SWAPs absorbed.
+pub(crate) fn absorb_in_place(
+    c: &mut Circuit,
+    mut classes: Option<&mut Vec<Option<WeylCoord>>>,
+) -> usize {
+    let instrs = &mut c.instructions;
+    // last_touch[q] = index (into the kept prefix) of the latest
+    // instruction on q.
     let mut last_touch: Vec<Option<usize>> = vec![None; c.n_qubits];
     let mut fused = 0usize;
-    for instr in &c.instructions {
-        if matches!(instr.gate, Gate::Swap) {
-            let (p, q) = (instr.qubits[0], instr.qubits[1]);
+    // Instructions [0, kept) are the output so far; [kept, i) are fused
+    // SWAPs waiting to be overwritten.
+    let mut kept = 0usize;
+    for i in 0..instrs.len() {
+        if matches!(instrs[i].gate, Gate::Swap) {
+            let (p, q) = (instrs[i].qubits[0], instrs[i].qubits[1]);
             if let (Some(a), Some(b)) = (last_touch[p], last_touch[q]) {
-                if a == b && out[a].gate.is_two_qubit() {
-                    let same_pair = (out[a].qubits[0] == p && out[a].qubits[1] == q)
-                        || (out[a].qubits[0] == q && out[a].qubits[1] == p);
+                if a == b && instrs[a].gate.is_two_qubit() {
+                    let same_pair = (instrs[a].qubits[0] == p && instrs[a].qubits[1] == q)
+                        || (instrs[a].qubits[0] == q && instrs[a].qubits[1] == p);
                     if same_pair {
                         // Fuse: U then SWAP = SWAP·U as a matrix on the
                         // previous gate's operand order (SWAP is
                         // order-symmetric).
-                        let u = out[a].gate.matrix2();
-                        out[a].gate = Gate::Unitary2(Mat4::swap().mul(&u));
+                        instrs[a].gate = mirror_gate(&instrs[a].gate);
+                        if let Some(classes) = classes.as_deref_mut() {
+                            classes[a] = Some(coords_of(&instrs[a].gate.matrix2()));
+                        }
                         fused += 1;
                         // `a` stays the last touch of p and q.
                         continue;
@@ -814,19 +933,20 @@ pub fn absorb_adjacent_swaps(c: &Circuit) -> (Circuit, usize) {
                 }
             }
         }
-        let idx = out.len();
-        for &qb in &instr.qubits {
-            last_touch[qb] = Some(idx);
+        for &qb in &instrs[i].qubits {
+            last_touch[qb] = Some(kept);
         }
-        out.push(instr.clone());
+        instrs.swap(kept, i);
+        if let Some(classes) = classes.as_deref_mut() {
+            classes[kept] = classes[i];
+        }
+        kept += 1;
     }
-    (
-        Circuit {
-            n_qubits: c.n_qubits,
-            instructions: out,
-        },
-        fused,
-    )
+    instrs.truncate(kept);
+    if let Some(classes) = classes {
+        classes.truncate(kept);
+    }
+    fused
 }
 
 /// Deterministic progress step: the first SWAP along the shortest path
@@ -866,6 +986,7 @@ fn force_step(dag: &Dag, front: &[usize], layout: &Layout, topo: &CouplingMap) -
 #[cfg(test)]
 pub mod legacy {
     use super::*;
+    use mirage_circuit::Instruction;
 
     /// The pre-optimization [`super::route`]: per-candidate layout clones,
     /// full re-scoring, per-step scratch allocation. Bit-identical output,
@@ -1558,5 +1679,102 @@ mod tests {
         let (fused, n) = absorb_adjacent_swaps(&c);
         assert_eq!(n, 1);
         assert_eq!(fused.instructions.len(), 2);
+    }
+
+    #[test]
+    fn layout_only_route_matches_emitting_route() {
+        // Refinement routes with no sink: the final layout, counters and
+        // RNG state must match the emitting route exactly, over forward
+        // and backward DAGs and every aggression refinement uses.
+        let cases = [
+            (CouplingMap::line(6), qft(6, false)),
+            (CouplingMap::grid(3, 3), two_local_full(7, 2, 0x1A)),
+            (CouplingMap::heavy_hex(3), qft(8, true)),
+        ];
+        let mut scratch = RouterScratch::new();
+        let mut case = 0u64;
+        for (topo, circuit) in cases {
+            let t = target(topo);
+            let cc = consolidate(&circuit);
+            for dag in [Dag::from_circuit(&cc), Dag::from_circuit(&cc.reversed())] {
+                let coords = node_coords(&dag);
+                for aggression in [None, Some(Aggression::A0), Some(Aggression::A1)] {
+                    case += 1;
+                    let config = RouterConfig {
+                        aggression,
+                        ..RouterConfig::default()
+                    };
+                    let mut rng_a = Rng::new(0x1A70 + case);
+                    let layout = Layout::random(cc.n_qubits, t.n_qubits(), &mut rng_a);
+                    let mut rng_b = rng_a.clone();
+                    let full = route_with_scratch(
+                        &dag,
+                        &coords,
+                        &t,
+                        layout.clone(),
+                        &config,
+                        &mut rng_a,
+                        &mut scratch,
+                    );
+                    let pass = route_core(
+                        &dag,
+                        &coords,
+                        &t,
+                        layout,
+                        &config,
+                        &mut rng_b,
+                        &mut scratch,
+                        None,
+                    );
+                    assert_eq!(pass.final_layout, full.final_layout, "case {case}");
+                    assert_eq!(pass.swaps_inserted, full.swaps_inserted);
+                    assert_eq!(pass.mirrors_accepted, full.mirrors_accepted);
+                    assert_eq!(pass.mirror_candidates, full.mirror_candidates);
+                    assert_eq!(
+                        rng_a.next_u64(),
+                        rng_b.next_u64(),
+                        "case {case}: RNG drifted"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn absorb_in_place_keeps_classes_aligned() {
+        // With a class side table, in-place absorption must leave every
+        // entry equal to `coords_of` of the instruction it now sits beside,
+        // and produce the circuit the copying absorber produces.
+        let bits = |w: &WeylCoord| {
+            let (a, b, c) = w.as_tuple();
+            (a.to_bits(), b.to_bits(), c.to_bits())
+        };
+        let mut total_fused = 0;
+        for seed in 0..12u64 {
+            // The engine absorbs after mirror-aware trials (A1..A3).
+            let t = target(CouplingMap::grid(3, 3));
+            let c = two_local_full(8, 2, 100 + seed);
+            let aggression = [Aggression::A1, Aggression::A2, Aggression::A3][seed as usize % 3];
+            let r = route_simple(&c, &t, Some(aggression), seed);
+            let mut classes: Vec<Option<WeylCoord>> = r
+                .circuit
+                .instructions
+                .iter()
+                .map(|i| i.gate.is_two_qubit().then(|| coords_of(&i.gate.matrix2())))
+                .collect();
+            let mut fused_c = r.circuit.clone();
+            let fused = absorb_in_place(&mut fused_c, Some(&mut classes));
+            total_fused += fused;
+            assert_eq!((fused_c.clone(), fused), absorb_adjacent_swaps(&r.circuit));
+            assert_eq!(classes.len(), fused_c.instructions.len());
+            for (instr, class) in fused_c.instructions.iter().zip(&classes) {
+                let expected = instr
+                    .gate
+                    .is_two_qubit()
+                    .then(|| coords_of(&instr.gate.matrix2()));
+                assert_eq!(class.as_ref().map(bits), expected.as_ref().map(bits));
+            }
+        }
+        assert!(total_fused > 0, "no absorption exercised");
     }
 }

@@ -430,6 +430,60 @@ impl Target {
         })
     }
 
+    /// [`Target::gate_cost`] through a caller-owned per-worker
+    /// [`CostMemo`]: a memo hit takes no shared-cache lock, and every value
+    /// is the one the shared cache answered, so it is bit-identical to
+    /// [`Target::gate_cost`].
+    pub(crate) fn gate_cost_memo(&self, memo: &mut CostMemo, w: &WeylCoord) -> f64 {
+        memo.get_or_insert_with(w, self.cache.epoch(), || self.gate_cost(w))
+    }
+
+    /// [`Target::duration_weight`] for an instruction whose two-qubit Weyl
+    /// class is already known (`class` is `None` for a 1Q gate): no KAK, and
+    /// the cost comes through `memo`. Equal to [`Target::duration_weight`]
+    /// bit for bit when `class` is `coords_of` of the instruction's matrix.
+    pub(crate) fn classed_duration_weight(
+        &self,
+        cal: &Calibration,
+        memo: &mut CostMemo,
+        instr: &Instruction,
+        class: Option<&WeylCoord>,
+    ) -> f64 {
+        match class {
+            None => cal.qubit_or_default(instr.qubits[0]).duration_1q,
+            Some(w) => self.gate_cost_on_memo(memo, w, instr.qubits[0], instr.qubits[1]),
+        }
+    }
+
+    /// [`Target::instruction_log_success`] for an instruction whose
+    /// two-qubit Weyl class is already known, priced like
+    /// [`Target::classed_duration_weight`].
+    pub(crate) fn classed_log_success(
+        &self,
+        cal: &Calibration,
+        memo: &mut CostMemo,
+        instr: &Instruction,
+        class: Option<&WeylCoord>,
+    ) -> f64 {
+        match class {
+            None => ln_survival(cal.qubit_or_default(instr.qubits[0]).error_1q),
+            Some(w) => self.two_qubit_log_success(
+                cal,
+                self.gate_cost_memo(memo, w),
+                instr.qubits[0],
+                instr.qubits[1],
+            ),
+        }
+    }
+
+    /// Log-success of a two-qubit gate whose class costs `class_cost` on the
+    /// coupler `(a, b)`: one edge error per basis application.
+    fn two_qubit_log_success(&self, cal: &Calibration, class_cost: f64, a: usize, b: usize) -> f64 {
+        let applications = class_cost / self.basis.duration;
+        let edge = cal.edge_or_nominal(a, b);
+        applications * ln_survival(edge.error_2q)
+    }
+
     /// [`Target::duration_weight`] against an explicit calibration
     /// snapshot: whole-circuit weighing takes the snapshot once instead of
     /// paying a lock acquisition per single-qubit gate.
@@ -479,9 +533,7 @@ impl Target {
             return ln_survival(q.error_1q);
         }
         let w = coords_of(&instr.gate.matrix2());
-        let applications = self.gate_cost(&w) / self.basis.duration;
-        let edge = cal.edge_or_nominal(instr.qubits[0], instr.qubits[1]);
-        applications * ln_survival(edge.error_2q)
+        self.two_qubit_log_success(cal, self.gate_cost(&w), instr.qubits[0], instr.qubits[1])
     }
 
     /// Natural log of one instruction's estimated success probability.
@@ -509,7 +561,12 @@ impl Target {
     /// Natural log of the probability that measuring the given physical
     /// qubits all succeeds, under the calibrated readout errors.
     pub fn readout_log_success(&self, measured: &[usize]) -> f64 {
-        let cal = self.calibration();
+        self.readout_log_success_with(&self.calibration(), measured)
+    }
+
+    /// [`Target::readout_log_success`] against an explicit calibration
+    /// snapshot.
+    pub(crate) fn readout_log_success_with(&self, cal: &Calibration, measured: &[usize]) -> f64 {
         measured
             .iter()
             .map(|&q| ln_survival(cal.qubit_or_default(q).readout_error))

@@ -17,20 +17,29 @@
 //! refinement, routing trials, and post-selection — and is the one consumer
 //! `transpile`, the bench harness, and `mirage-cli` all sit on.
 
+use crate::calibration::Calibration;
 use crate::layout::Layout;
 use crate::pipeline::TranspileError;
 use crate::placement::{LayoutStrategy, PlacementContext, StrategyKind, Vf2Embed};
 use crate::router::{
-    node_coords, route_with_scratch, Aggression, RoutedCircuit, RouterConfig, RouterScratch,
+    absorb_in_place, mirror_gate, node_coords, route_core, Aggression, EmitSink, RoutedCircuit,
+    RouterConfig, RouterScratch,
 };
 use crate::target::Target;
-use mirage_circuit::{Circuit, Dag};
+use mirage_circuit::{Circuit, Dag, Gate};
+use mirage_coverage::cache::CostMemo;
 use mirage_math::Rng;
-use mirage_weyl::coords::WeylCoord;
+use mirage_weyl::coords::{coords_of, WeylCoord};
+use std::sync::OnceLock;
 
 /// One layout trial's routed candidates, tagged by the strategy that
 /// seeded the layout.
-type TrialResult = (StrategyKind, Vec<RoutedCircuit>);
+type TrialResult = (StrategyKind, Vec<Candidate>);
+
+/// One layout trial's post-selection entry: the best candidate's score and
+/// the candidate itself, tagged by seeding strategy (`None` when the trial
+/// ran no routing trials), plus how many candidates the trial routed.
+type TrialBest = (Option<(f64, (StrategyKind, Candidate))>, usize);
 
 /// Post-selection metric across routing trials.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +49,7 @@ pub enum Metric {
     /// Shortest duration-weighted critical path (MIRAGE-Depth, §IV-B).
     Depth,
     /// Highest estimated success probability under the target's
-    /// [`Calibration`](crate::calibration::Calibration): the log-fidelity
+    /// [`Calibration`]: the log-fidelity
     /// product over every routed gate (edge errors priced per basis
     /// application, so SWAPs pay 3 CNOTs / 3 √iSWAPs and accepted mirrors
     /// only their own cost) plus readout on the logical qubits' final
@@ -214,14 +223,134 @@ fn validate_mix(which: &'static str, mix: &[f64]) -> Result<(), TranspileError> 
     Ok(())
 }
 
-fn score(r: &RoutedCircuit, metric: Metric, target: &Target) -> f64 {
-    match metric {
-        Metric::SwapCount => r.swaps_inserted as f64,
-        Metric::Depth => target.depth_estimate(&r.circuit),
-        // Trials minimize the score, so the negated log-success ranks the
-        // most-likely-to-succeed candidate first.
-        Metric::EstimatedSuccess => -r.log_success(target),
+/// The first minimum of `scored` under [`f64::total_cmp`]: among equal
+/// scores the earliest item wins, exactly as [`Iterator::min_by`] keeps the
+/// first of equal minima. Post-selection feeds it candidates in trial-index
+/// order, so ties break by candidate index.
+fn first_min<T>(scored: impl IntoIterator<Item = (f64, T)>) -> Option<(f64, T)> {
+    let mut best: Option<(f64, T)> = None;
+    for (score, item) in scored {
+        if best
+            .as_ref()
+            .map_or(true, |(least, _)| score.total_cmp(least).is_lt())
+        {
+            best = Some((score, item));
+        }
     }
+    best
+}
+
+/// The Weyl class of [`Gate::Swap`], recorded for every routing SWAP.
+fn swap_class() -> WeylCoord {
+    static CLASS: OnceLock<WeylCoord> = OnceLock::new();
+    *CLASS.get_or_init(|| coords_of(&Gate::Swap.matrix2()))
+}
+
+/// A routed candidate with its **cost record**: the Weyl class of every
+/// instruction of `routed.circuit` (`None` for one-qubit gates), in circuit
+/// order. The router records each class as it emits the instruction, from
+/// the same matrix the instruction carries (see [`Recorder`]), so pricing
+/// the record gives the same bits as pricing the circuit — without a KAK
+/// per gate. The record lives only here, beside the circuit it describes.
+struct Candidate {
+    routed: RoutedCircuit,
+    classes: Vec<Option<WeylCoord>>,
+}
+
+impl Candidate {
+    /// The post-selection score under `metric` (lower wins). Equal bit for
+    /// bit to `swaps_inserted`, [`Target::depth_estimate`] and
+    /// `-`[`RoutedCircuit::log_success`] respectively.
+    fn selection_score(
+        &self,
+        metric: Metric,
+        target: &Target,
+        cal: &Calibration,
+        memo: &mut CostMemo,
+    ) -> f64 {
+        match metric {
+            Metric::SwapCount => self.routed.swaps_inserted as f64,
+            Metric::Depth => self.depth_estimate(target, cal, memo),
+            // Trials minimize the score, so the negated log-success ranks
+            // the most-likely-to-succeed candidate first.
+            Metric::EstimatedSuccess => {
+                -(self.gate_log_success(target, cal, memo)
+                    + target
+                        .readout_log_success_with(cal, self.routed.final_layout.real_assignment()))
+            }
+        }
+    }
+
+    /// [`Target::depth_estimate`] of the circuit, from the record.
+    fn depth_estimate(&self, target: &Target, cal: &Calibration, memo: &mut CostMemo) -> f64 {
+        self.routed.circuit.weighted_depth_indexed(|i, instr| {
+            target.classed_duration_weight(cal, memo, instr, self.classes[i].as_ref())
+        })
+    }
+
+    /// [`Target::total_gate_cost`] of the circuit, from the record.
+    fn total_gate_cost(&self, target: &Target, cal: &Calibration, memo: &mut CostMemo) -> f64 {
+        self.routed
+            .circuit
+            .instructions
+            .iter()
+            .zip(&self.classes)
+            .map(|(instr, class)| target.classed_duration_weight(cal, memo, instr, class.as_ref()))
+            .sum()
+    }
+
+    /// [`Target::circuit_log_success`] of the circuit, from the record.
+    fn gate_log_success(&self, target: &Target, cal: &Calibration, memo: &mut CostMemo) -> f64 {
+        self.routed
+            .circuit
+            .instructions
+            .iter()
+            .zip(&self.classes)
+            .map(|(instr, class)| target.classed_log_success(cal, memo, instr, class.as_ref()))
+            .sum()
+    }
+}
+
+/// The emit sink of routing trials: builds the candidate circuit and
+/// records each instruction's Weyl class beside it. A plain gate takes its
+/// node's precomputed class, a mirror the class of its node's `SWAP·U`
+/// (the matrix the sink emits), and a SWAP the one SWAP class. Routing
+/// trials route the forward DAG, so the classes are the forward ones.
+struct Recorder<'s> {
+    state: &'s RoutingState,
+    circuit: Circuit,
+    classes: Vec<Option<WeylCoord>>,
+}
+
+impl EmitSink for Recorder<'_> {
+    fn node(&mut self, dag: &Dag, id: usize, qubits: &[usize]) {
+        debug_assert!(std::ptr::eq(dag, &self.state.dag_fwd), "forward DAG only");
+        self.circuit.node(dag, id, qubits);
+        self.classes.push(self.state.coords_fwd[id]);
+    }
+
+    fn mirror(&mut self, dag: &Dag, id: usize, p1: usize, p2: usize) {
+        self.circuit.mirror(dag, id, p1, p2);
+        self.classes.push(self.state.mirror_classes()[id]);
+    }
+
+    fn swap(&mut self, p1: usize, p2: usize) {
+        self.circuit.swap(p1, p2);
+        self.classes.push(Some(swap_class()));
+    }
+}
+
+/// The winner's cost figures, read from its cost record; each equals the
+/// [`Target`] function of the same name on the winning circuit bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WinnerCosts {
+    /// [`Target::depth_estimate`].
+    pub(crate) depth_estimate: f64,
+    /// [`Target::total_gate_cost`].
+    pub(crate) total_gate_cost: f64,
+    /// [`Target::circuit_log_success`] (readout excluded: the pipeline
+    /// prices readout on the final layout it reports).
+    pub(crate) gate_log_success: f64,
 }
 
 /// Trial counts per mix lane for `total` trials. Every lane with a nonzero
@@ -319,6 +448,27 @@ struct RoutingState {
     dag_bwd: Dag,
     coords_fwd: Vec<Option<WeylCoord>>,
     coords_bwd: Vec<Option<WeylCoord>>,
+    /// `coords_of(SWAP·U)` per forward node: the class of the mirror block
+    /// the router emits when it accepts node `U`'s mirror. Built on the
+    /// first accepted mirror (SABRE runs never need it).
+    mirrors_fwd: OnceLock<Vec<Option<WeylCoord>>>,
+}
+
+impl RoutingState {
+    /// The forward nodes' mirror classes (see `mirrors_fwd`).
+    fn mirror_classes(&self) -> &[Option<WeylCoord>] {
+        self.mirrors_fwd.get_or_init(|| {
+            self.dag_fwd
+                .nodes
+                .iter()
+                .map(|n| {
+                    n.gate
+                        .is_two_qubit()
+                        .then(|| coords_of(&mirror_gate(&n.gate).matrix2()))
+                })
+                .collect()
+        })
+    }
 }
 
 /// The unified trial engine: one object owning layout generation (via the
@@ -410,6 +560,7 @@ impl<'a> TrialEngine<'a> {
                 dag_bwd,
                 coords_fwd,
                 coords_bwd,
+                mirrors_fwd: OnceLock::new(),
             }
         })
     }
@@ -434,8 +585,9 @@ impl<'a> TrialEngine<'a> {
 
     /// SABRE layout refinement: route forward, then backward over the
     /// reversed circuit, feeding each final layout into the next pass.
-    /// Cost queries go through the target's shared cache; working storage
-    /// comes from the caller's scratch.
+    /// Only the layouts matter here, so the passes emit nothing. Cost
+    /// queries go through the target's shared cache; working storage comes
+    /// from the caller's scratch.
     fn refine_layout(
         &self,
         config: &RouterConfig,
@@ -446,25 +598,13 @@ impl<'a> TrialEngine<'a> {
     ) -> Layout {
         let state = self.routing_state();
         for _ in 0..iters {
-            let fwd = route_with_scratch(
-                &state.dag_fwd,
-                &state.coords_fwd,
-                self.target,
-                layout,
-                config,
-                rng,
-                scratch,
-            );
-            let bwd = route_with_scratch(
-                &state.dag_bwd,
-                &state.coords_bwd,
-                self.target,
-                fwd.final_layout,
-                config,
-                rng,
-                scratch,
-            );
-            layout = bwd.final_layout;
+            for (dag, coords) in [
+                (&state.dag_fwd, &state.coords_fwd),
+                (&state.dag_bwd, &state.coords_bwd),
+            ] {
+                layout = route_core(dag, coords, self.target, layout, config, rng, scratch, None)
+                    .final_layout;
+            }
         }
         layout
     }
@@ -548,61 +688,87 @@ impl<'a> TrialEngine<'a> {
                 // A0 trials anchor on the mirror-free placement; the rest
                 // alternate between the two refinements.
                 let start = if aggression == Some(Aggression::A0) || t % 2 == 0 {
-                    plain.clone()
+                    &plain
                 } else {
-                    mirrored.clone()
+                    &mirrored
                 };
-                let mut routed = route_with_scratch(
+                // Every DAG node emits one instruction (SWAPs add more).
+                let mut recorder = Recorder {
+                    state,
+                    circuit: Circuit {
+                        n_qubits: self.target.n_qubits(),
+                        instructions: Vec::with_capacity(state.dag_fwd.len()),
+                    },
+                    classes: Vec::with_capacity(state.dag_fwd.len()),
+                };
+                let pass = route_core(
                     &state.dag_fwd,
                     &state.coords_fwd,
                     self.target,
-                    start,
+                    start.clone(),
                     &config,
                     &mut trial_rng,
                     scratch,
+                    Some(&mut recorder),
                 );
-                if mirage && aggression != Some(Aggression::A0) {
+                let Recorder {
+                    mut circuit,
+                    mut classes,
+                    ..
+                } = recorder;
+                let fused = if mirage && aggression != Some(Aggression::A0) {
                     // Mirage-SWAP absorption: fold leftover SWAPs that sit
                     // next to a same-pair gate into mirror blocks.
-                    let (fused_circuit, fused) =
-                        crate::router::absorb_adjacent_swaps(&routed.circuit);
-                    routed.circuit = fused_circuit;
-                    routed.swaps_inserted -= fused;
-                    routed.mirrors_accepted += fused;
-                    routed.mirror_candidates += fused;
+                    absorb_in_place(&mut circuit, Some(&mut classes))
+                } else {
+                    0
+                };
+                Candidate {
+                    routed: RoutedCircuit {
+                        circuit,
+                        initial_layout: start.clone(),
+                        final_layout: pass.final_layout,
+                        swaps_inserted: pass.swaps_inserted - fused,
+                        mirrors_accepted: pass.mirrors_accepted + fused,
+                        mirror_candidates: pass.mirror_candidates + fused,
+                    },
+                    classes,
                 }
-                routed
             })
             .collect();
         (kind, routed)
     }
 
-    /// Run the full trial loop; like [`TrialEngine::run`] but also reports
-    /// which strategy seeded the winner and how many candidates were
-    /// scored (the `layout_strategies` experiment consumes this).
-    ///
-    /// # Determinism
-    ///
-    /// Parallel runs are bit-identical to serial runs at every thread
-    /// count. Two invariants make that hold:
-    ///
-    /// 1. **Pre-split seeds.** Each trial's randomness is a pure function
-    ///    of `(opts.seed, trial index)` via [`SeedSchedule`]; which worker
-    ///    runs a trial (and when) cannot influence its stream.
-    /// 2. **Fixed reduction order.** Results land in trial-indexed slots
-    ///    and are flattened in index order before the `min_by` below — and
-    ///    `min_by` keeps the *first* of equal minima, so ties break by
-    ///    trial index, never by completion order or pool size.
-    ///
-    /// # Errors
-    ///
-    /// [`TranspileError::InvalidTrialMix`] when either mix in `opts` is
-    /// mis-normalized (see [`TrialOptions::validate`]).
-    pub fn run_detailed(
+    /// One layout trial, post-selected: route its candidates, score each
+    /// exactly once from its cost record (through the scratch's memo: no
+    /// KAK, no shared-cache lock), and keep the first best.
+    fn scored_layout_trial(
+        &self,
+        trial: usize,
+        mirage: bool,
+        opts: &TrialOptions,
+        scratch: &mut RouterScratch,
+    ) -> TrialBest {
+        let (kind, candidates) = self.one_layout_trial(trial, mirage, opts, scratch);
+        let routed = candidates.len();
+        let cal = self.target.calibration();
+        let memo = scratch.cost_memo();
+        let best = first_min(
+            candidates
+                .into_iter()
+                .map(|c| (c.selection_score(opts.metric, self.target, &cal, memo), c)),
+        );
+        (best.map(|(score, c)| (score, (kind, c))), routed)
+    }
+
+    /// The trial loop behind [`TrialEngine::run_detailed`]: the winning
+    /// candidate with its cost record, the strategy that seeded it, and
+    /// the number of candidates scored.
+    fn post_select(
         &self,
         mirage: bool,
         opts: &TrialOptions,
-    ) -> Result<TrialOutcome, TranspileError> {
+    ) -> Result<(Candidate, StrategyKind, usize), TranspileError> {
         opts.validate()?;
         let n = opts.layout_trials;
         let workers = if opts.parallel {
@@ -612,14 +778,14 @@ impl<'a> TrialEngine<'a> {
         };
         // Trial-indexed result slots: whatever order workers finish in,
         // the reduction below reads them back in trial order.
-        let mut slots: Vec<Option<TrialResult>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<TrialBest>> = (0..n).map(|_| None).collect();
         if workers > 1 {
             // Warm the lazy precomputes on this thread so workers never
             // race to build them (OnceLock would dedupe anyway; this just
             // keeps the work off the timed region).
             let _ = self.routing_state();
             let next = std::sync::atomic::AtomicUsize::new(0);
-            let per_worker: Vec<Vec<(usize, TrialResult)>> = std::thread::scope(|s| {
+            let per_worker: Vec<Vec<(usize, TrialBest)>> = std::thread::scope(|s| {
                 let next = &next;
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
@@ -635,7 +801,7 @@ impl<'a> TrialEngine<'a> {
                                 }
                                 local.push((
                                     t,
-                                    self.one_layout_trial(t, mirage, opts, &mut scratch),
+                                    self.scored_layout_trial(t, mirage, opts, &mut scratch),
                                 ));
                             }
                             self.return_scratch(scratch);
@@ -654,27 +820,80 @@ impl<'a> TrialEngine<'a> {
         } else {
             let mut scratch = self.checkout_scratch();
             for (t, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(self.one_layout_trial(t, mirage, opts, &mut scratch));
+                *slot = Some(self.scored_layout_trial(t, mirage, opts, &mut scratch));
             }
             self.return_scratch(scratch);
         }
-        let mut tagged: Vec<(StrategyKind, RoutedCircuit)> = Vec::new();
+        let mut candidates = 0;
+        let mut trial_bests = Vec::with_capacity(n);
         for slot in slots {
-            let (kind, routed) = slot.expect("every trial index was claimed by a worker");
-            tagged.extend(routed.into_iter().map(|r| (kind, r)));
+            let (best, routed) = slot.expect("every trial index was claimed by a worker");
+            candidates += routed;
+            trial_bests.extend(best);
         }
-        let candidates = tagged.len();
-        let (strategy, best) = tagged
-            .into_iter()
-            .min_by(|(_, a), (_, b)| {
-                score(a, opts.metric, self.target).total_cmp(&score(b, opts.metric, self.target))
-            })
-            .expect("at least one trial ran");
+        let (_, (strategy, best)) = first_min(trial_bests).expect("at least one trial ran");
+        Ok((best, strategy, candidates))
+    }
+
+    /// Run the full trial loop; like [`TrialEngine::run`] but also reports
+    /// which strategy seeded the winner and how many candidates were
+    /// scored (the `layout_strategies` experiment consumes this).
+    ///
+    /// # Determinism
+    ///
+    /// Parallel runs are bit-identical to serial runs at every thread
+    /// count. Two invariants make that hold:
+    ///
+    /// 1. **Pre-split seeds.** Each trial's randomness is a pure function
+    ///    of `(opts.seed, trial index)` via [`SeedSchedule`]; which worker
+    ///    runs a trial (and when) cannot influence its stream.
+    /// 2. **Fixed reduction order.** Each candidate is scored once, and
+    ///    the winner is the *first* minimum under [`f64::total_cmp`] in
+    ///    candidate order: within a layout trial by routing-trial index,
+    ///    then across trials by trial index (results land in trial-indexed
+    ///    slots). Ties therefore break by candidate index, never by
+    ///    completion order or pool size — the same winner `min_by` over
+    ///    the flattened candidate list would pick.
+    ///
+    /// # Errors
+    ///
+    /// [`TranspileError::InvalidTrialMix`] when either mix in `opts` is
+    /// mis-normalized (see [`TrialOptions::validate`]).
+    pub fn run_detailed(
+        &self,
+        mirage: bool,
+        opts: &TrialOptions,
+    ) -> Result<TrialOutcome, TranspileError> {
+        let (best, strategy, candidates) = self.post_select(mirage, opts)?;
         Ok(TrialOutcome {
-            best,
+            best: best.routed,
             strategy,
             candidates,
         })
+    }
+
+    /// [`TrialEngine::run`] plus the winner's cost figures, read from its
+    /// cost record instead of re-pricing the circuit.
+    ///
+    /// # Errors
+    ///
+    /// As [`TrialEngine::run_detailed`].
+    pub(crate) fn run_costed(
+        &self,
+        mirage: bool,
+        opts: &TrialOptions,
+    ) -> Result<(RoutedCircuit, WinnerCosts), TranspileError> {
+        let (best, _, _) = self.post_select(mirage, opts)?;
+        let cal = self.target.calibration();
+        let mut scratch = self.checkout_scratch();
+        let memo = scratch.cost_memo();
+        let costs = WinnerCosts {
+            depth_estimate: best.depth_estimate(self.target, &cal, memo),
+            total_gate_cost: best.total_gate_cost(self.target, &cal, memo),
+            gate_log_success: best.gate_log_success(self.target, &cal, memo),
+        };
+        self.return_scratch(scratch);
+        Ok((best.routed, costs))
     }
 
     /// Run the full trial loop and return the best routed circuit under
@@ -712,9 +931,10 @@ pub fn route_with_trials(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calibration::Calibration;
     use crate::verify::verify_routed;
     use mirage_circuit::consolidate::consolidate;
-    use mirage_circuit::generators::two_local_full;
+    use mirage_circuit::generators::{qft, two_local_full};
     use mirage_topology::CouplingMap;
 
     const PAPER_MIX: [f64; 4] = [0.05, 0.45, 0.45, 0.05];
@@ -1032,6 +1252,171 @@ mod tests {
                 kind.name()
             );
             assert_eq!(outcome.strategy, kind);
+        }
+    }
+
+    /// The golden-routing devices and circuits (`tests/golden_routing.rs`)
+    /// with their skewed-calibration seeds.
+    fn golden_topologies() -> Vec<(CouplingMap, Circuit, u64)> {
+        vec![
+            (CouplingMap::line(8), qft(8, false), 0xCA11),
+            (CouplingMap::grid(3, 3), qft(8, true), 0xCA12),
+            (
+                CouplingMap::heavy_hex(3),
+                two_local_full(10, 1, 0xC7),
+                0xCA13,
+            ),
+        ]
+    }
+
+    #[test]
+    fn recorded_costs_equal_the_circuit_oracles_bit_for_bit() {
+        // Every candidate of every layout trial — MIRAGE (mirrors plus
+        // SWAP absorption) and SABRE, uniform and skewed calibrations —
+        // must score from its cost record exactly as the public oracles
+        // score its circuit.
+        let (mut mirrors, mut swaps, mut fused, mut checked) = (0, 0, 0, 0);
+        for (topo, circuit, cal_seed) in golden_topologies() {
+            let skewed = Calibration::skewed(&topo, &mut Rng::new(cal_seed), 3e-3, 0.25, 10.0)
+                .expect("skewed covers the map");
+            for calibrated in [false, true] {
+                let target = if calibrated {
+                    Target::sqrt_iswap(topo.clone())
+                        .with_calibration(skewed.clone())
+                        .unwrap()
+                } else {
+                    Target::sqrt_iswap(topo.clone())
+                };
+                let cc = consolidate(&circuit);
+                let n_2q = cc.two_qubit_gate_count();
+                let engine = TrialEngine::new(&cc, &target);
+                let opts = TrialOptions::quick(Metric::EstimatedSuccess, 0x901D + cal_seed);
+                let mut scratch = RouterScratch::new();
+                for mirage in [true, false] {
+                    for trial in 0..opts.layout_trials {
+                        let (_, candidates) =
+                            engine.one_layout_trial(trial, mirage, &opts, &mut scratch);
+                        let cal = target.calibration();
+                        for (t, c) in candidates.iter().enumerate() {
+                            let r = &c.routed;
+                            let memo = scratch.cost_memo();
+                            let case = format!("{} mirage={mirage} trial {trial}.{t}", topo.name());
+                            assert_eq!(c.classes.len(), r.circuit.instructions.len(), "{case}");
+                            assert_eq!(
+                                c.selection_score(Metric::Depth, &target, &cal, memo)
+                                    .to_bits(),
+                                target.depth_estimate(&r.circuit).to_bits(),
+                                "{case}: depth"
+                            );
+                            assert_eq!(
+                                c.selection_score(Metric::EstimatedSuccess, &target, &cal, memo)
+                                    .to_bits(),
+                                (-r.log_success(&target)).to_bits(),
+                                "{case}: success"
+                            );
+                            assert_eq!(
+                                c.total_gate_cost(&target, &cal, memo).to_bits(),
+                                target.total_gate_cost(&r.circuit).to_bits(),
+                                "{case}: total cost"
+                            );
+                            assert_eq!(
+                                c.selection_score(Metric::SwapCount, &target, &cal, memo),
+                                r.swaps_inserted as f64
+                            );
+                            mirrors += r.mirrors_accepted;
+                            swaps += r.swaps_inserted;
+                            if mirage && r.mirror_candidates > 0 {
+                                // Every 2Q gate is offered to the mirror
+                                // layer once; the excess is absorbed SWAPs.
+                                fused += r.mirror_candidates - n_2q;
+                            }
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 3 * 2 * 2 * 4 * 4, "sweep shrank");
+        // Every recording path ran: plain gates, mirrors, SWAPs, and
+        // absorption-fused blocks.
+        assert!(
+            mirrors > 0 && swaps > 0 && fused > 0,
+            "{mirrors} {swaps} {fused}"
+        );
+    }
+
+    #[test]
+    fn winner_costs_equal_the_circuit_oracles_bit_for_bit() {
+        for (topo, circuit, cal_seed) in golden_topologies() {
+            let skewed = Calibration::skewed(&topo, &mut Rng::new(cal_seed), 3e-3, 0.25, 10.0)
+                .expect("skewed covers the map");
+            let target = Target::sqrt_iswap(topo).with_calibration(skewed).unwrap();
+            let cc = consolidate(&circuit);
+            let engine = TrialEngine::new(&cc, &target);
+            for metric in [Metric::Depth, Metric::EstimatedSuccess, Metric::SwapCount] {
+                let opts = TrialOptions::quick(metric, cal_seed);
+                let (best, costs) = engine.run_costed(true, &opts).unwrap();
+                assert_eq!(
+                    costs.depth_estimate.to_bits(),
+                    target.depth_estimate(&best.circuit).to_bits()
+                );
+                assert_eq!(
+                    costs.total_gate_cost.to_bits(),
+                    target.total_gate_cost(&best.circuit).to_bits()
+                );
+                assert_eq!(
+                    costs.gate_log_success.to_bits(),
+                    target.circuit_log_success(&best.circuit).to_bits()
+                );
+                // And it is the same winner `run_detailed` reports.
+                let outcome = engine.run_detailed(true, &opts).unwrap();
+                assert_eq!(outcome.best.circuit, best.circuit);
+            }
+        }
+    }
+
+    #[test]
+    fn post_selection_keeps_the_lowest_index_among_equal_scores() {
+        // Equal minima: the earliest wins.
+        let scored = [(3.0, 'a'), (1.0, 'b'), (2.0, 'c'), (1.0, 'd')];
+        assert_eq!(first_min(scored), Some((1.0, 'b')));
+        // total_cmp ordering: -0.0 sorts below 0.0 and NaN above infinity.
+        assert_eq!(
+            first_min([(0.0, 0), (-0.0, 1), (-0.0, 2)]).map(|b| b.1),
+            Some(1)
+        );
+        assert_eq!(
+            first_min([(f64::NAN, 0), (f64::INFINITY, 1)]).map(|b| b.1),
+            Some(1)
+        );
+        assert_eq!(first_min(Vec::<(f64, ())>::new()), None);
+
+        // Against the reference winner, `min_by(total_cmp)` over the
+        // flattened candidate list, with many ties: both flat and in the
+        // engine's two levels (first best per layout trial, then across
+        // trials in trial order).
+        let palette = [0.0, -0.0, 1.0, 2.5, f64::INFINITY, f64::NAN, -1.0];
+        let mut rng = Rng::new(0x71E5);
+        for _ in 0..500 {
+            let trials = 1 + rng.next_u64() as usize % 5;
+            let per_trial = 1 + rng.next_u64() as usize % 6;
+            let scores: Vec<f64> = (0..trials * per_trial)
+                .map(|_| palette[rng.next_u64() as usize % palette.len()])
+                .collect();
+            let expected = scores
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(i, _)| i);
+            let flat = first_min(scores.iter().copied().zip(0..)).map(|b| b.1);
+            assert_eq!(flat, expected, "{scores:?}");
+            let two_level = first_min(scores.chunks(per_trial).enumerate().filter_map(
+                |(t, chunk)| {
+                    first_min(chunk.iter().copied().zip(0..)).map(|(s, i)| (s, t * per_trial + i))
+                },
+            ))
+            .map(|b| b.1);
+            assert_eq!(two_level, expected, "{scores:?}");
         }
     }
 }

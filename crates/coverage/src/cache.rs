@@ -476,11 +476,28 @@ impl CostMemo {
         epoch: u64,
         f: F,
     ) -> f64 {
+        self.lookup(key_for(w, edge_key(a, b)), epoch, f)
+    }
+
+    /// Look up the coupler-independent cost of class `w`, or
+    /// compute-and-insert through `f` (which should read the shared
+    /// cache). These values never go stale, but they share the memo's
+    /// epoch rule: a query under a new epoch still clears the memo first.
+    pub fn get_or_insert_with<F: FnOnce() -> f64>(
+        &mut self,
+        w: &WeylCoord,
+        epoch: u64,
+        f: F,
+    ) -> f64 {
+        self.lookup(key_for(w, NO_EDGE), epoch, f)
+    }
+
+    fn lookup<F: FnOnce() -> f64>(&mut self, key: Key, epoch: u64, f: F) -> f64 {
         if self.epoch != epoch {
             self.map.clear();
             self.epoch = epoch;
         }
-        match self.map.entry(key_for(w, edge_key(a, b))) {
+        match self.map.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 self.hits += 1;
                 *e.get()
@@ -769,6 +786,19 @@ mod tests {
         assert_eq!(memo.get_or_insert_edge_with(&w, 1, 2, 1, || 25.0), 25.0);
         // And the new-epoch entries are ordinary hits afterwards.
         assert_eq!(memo.get_or_insert_edge_with(&w, 0, 1, 1, || 99.0), 15.0);
+    }
+
+    #[test]
+    fn memo_class_entries_are_separate_from_edge_entries() {
+        let mut memo = CostMemo::new();
+        let w = WeylCoord::SWAP;
+        assert_eq!(memo.get_or_insert_with(&w, 0, || 1.5), 1.5);
+        assert_eq!(memo.get_or_insert_edge_with(&w, 0, 1, 0, || 4.5), 4.5);
+        assert_eq!(memo.get_or_insert_with(&w, 0, || 99.0), 1.5);
+        assert_eq!(memo.stats(), (1, 2));
+        // The epoch rule applies to class entries too.
+        assert_eq!(memo.get_or_insert_with(&w, 1, || 2.0), 2.0);
+        assert_eq!(memo.len(), 1);
     }
 
     #[test]

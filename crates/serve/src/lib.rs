@@ -1131,13 +1131,17 @@ mod tests {
 
     #[test]
     fn interactive_lane_dequeues_before_batch() {
-        let target = Arc::new(Target::sqrt_iswap(CouplingMap::line(3)));
+        let target = Arc::new(Target::sqrt_iswap(CouplingMap::line(8)));
         let service = TranspileService::new(target, 1);
         // Occupy the single worker, then queue batch jobs *before*
         // interactive ones; the dequeue sequence must still run every
-        // interactive job first.
+        // interactive job first. The blocker must fit the device and need
+        // routing, or it fails at once and frees the worker before the
+        // queue is staged.
+        let mut blocker_options = TranspileOptions::quick(RouterKind::Mirage, 1);
+        blocker_options.use_vf2 = false;
         let blocker = service
-            .submit(quick_job("blocker", qft(6, false), 1))
+            .submit(TranspileJob::new("blocker", qft(8, false), blocker_options))
             .unwrap();
         match blocker.recv_event() {
             JobEvent::Started { .. } => {}

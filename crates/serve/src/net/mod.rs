@@ -598,7 +598,7 @@ fn forward_events(handle: &crate::JobHandle, writer: &Mutex<TcpStream>) {
                 job_id,
                 worker,
                 generation,
-                ..
+                sequence,
             } => {
                 if send(
                     writer,
@@ -606,6 +606,7 @@ fn forward_events(handle: &crate::JobHandle, writer: &Mutex<TcpStream>) {
                         job_id,
                         worker: worker as u32,
                         generation,
+                        sequence,
                     },
                 )
                 .is_err()

@@ -38,7 +38,11 @@ use mirage_core::{RouterKind, TranspileOptions};
 /// retrying client can verify it is reading answers for *its* job even
 /// after duplicated or replayed request frames, and `Failed` can report
 /// [`FailureKind::WorkerPanicked`].
-pub const PROTO_VERSION: u8 = 2;
+///
+/// v3: `Running` carries the pool-wide dequeue `sequence`, so a client can
+/// tell which of its jobs a worker claimed first without relying on frame
+/// arrival times.
+pub const PROTO_VERSION: u8 = 3;
 
 /// Why a message could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -587,6 +591,9 @@ pub enum Response {
         worker: u32,
         /// Calibration generation it runs under.
         generation: u64,
+        /// Pool-wide dequeue sequence number: jobs are claimed in
+        /// increasing `sequence` order.
+        sequence: u64,
     },
     /// Terminal: the job succeeded.
     Done(JobDone),
@@ -663,11 +670,13 @@ impl Response {
                 job_id,
                 worker,
                 generation,
+                sequence,
             } => {
                 w.u8(RESP_RUNNING);
                 w.u64(*job_id);
                 w.u32(*worker);
                 w.u64(*generation);
+                w.u64(*sequence);
             }
             Response::Done(done) => {
                 w.u8(RESP_DONE);
@@ -736,6 +745,7 @@ impl Response {
                 job_id: r.u64("job_id")?,
                 worker: r.u32("worker")?,
                 generation: r.u64("generation")?,
+                sequence: r.u64("sequence")?,
             },
             RESP_DONE => Response::Done(JobDone {
                 job_id: r.u64("job_id")?,
@@ -866,6 +876,7 @@ mod tests {
                 job_id: 3,
                 worker: 2,
                 generation: 9,
+                sequence: 41,
             },
             Response::Done(JobDone {
                 job_id: 3,

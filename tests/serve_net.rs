@@ -557,35 +557,26 @@ fn interactive_jobs_overtake_queued_batch_jobs_over_the_wire() {
     }
 
     // Strict lane priority on a single worker: the interactive job must
-    // reach Running (dequeue) before the batch job does, even though the
-    // batch job was queued first. Observe each stream's Running edge from
-    // its own thread and compare receipt times — the gap is a whole job
-    // execution, not a scheduling jitter.
-    let t0 = Instant::now();
-    let clock = |mut stream: TcpStream| {
-        std::thread::spawn(move || {
-            match read_response(&mut stream) {
-                Response::Running { .. } => {}
-                other => panic!("expected Running, got {other:?}"),
-            }
-            let at = t0.elapsed();
-            loop {
-                match read_response(&mut stream) {
-                    Response::Done(_) => return at,
-                    Response::Running { .. } => continue,
-                    other => panic!("expected Done, got {other:?}"),
-                }
-            }
-        })
+    // be dequeued before the batch job, even though the batch job was
+    // queued first. Each `Running` frame carries the pool-wide dequeue
+    // sequence, so the order is read from the server's own count, not
+    // from when the two frames happen to arrive.
+    let dequeued_at = |stream: &mut TcpStream| {
+        let sequence = match read_response(stream) {
+            Response::Running { sequence, .. } => sequence,
+            other => panic!("expected Running, got {other:?}"),
+        };
+        match read_response(stream) {
+            Response::Done(_) => sequence,
+            other => panic!("expected Done, got {other:?}"),
+        }
     };
-    let inter_clock = clock(inter);
-    let batch_clock = clock(batch);
-    let inter_running_at = inter_clock.join().unwrap();
-    let batch_running_at = batch_clock.join().unwrap();
+    let inter_sequence = dequeued_at(&mut inter);
+    let batch_sequence = dequeued_at(&mut batch);
     assert!(
-        inter_running_at < batch_running_at,
-        "interactive job must dequeue first (interactive at {inter_running_at:?}, \
-         batch at {batch_running_at:?})"
+        inter_sequence < batch_sequence,
+        "interactive job must dequeue first (interactive sequence {inter_sequence}, \
+         batch sequence {batch_sequence})"
     );
 
     assert!(matches!(read_response(&mut blocker), Response::Done(_)));
@@ -836,35 +827,30 @@ fn flooding_connection_cannot_starve_another_clients_jobs() {
         }
     }
 
-    // Watch each stream's Done edges from its own thread: under FIFO the
-    // polite client would finish dead last; under weighted round-robin
-    // its second job completes while most of the flood is still queued.
-    let t0 = Instant::now();
-    let clock = |mut stream: TcpStream, dones: usize| {
-        std::thread::spawn(move || {
-            let mut last = Duration::ZERO;
-            let mut seen = 0;
-            while seen < dones {
-                match read_response(&mut stream) {
-                    Response::Done(_) => {
-                        seen += 1;
-                        last = t0.elapsed();
-                    }
-                    Response::Running { .. } => continue,
-                    other => panic!("expected Running/Done, got {other:?}"),
-                }
+    // Read each client's dequeue sequences (carried by its `Running`
+    // frames) until all its jobs are done: under FIFO the polite client's
+    // jobs would be claimed dead last; under weighted round-robin its
+    // second job is claimed while most of the flood is still queued. The
+    // single worker claims jobs in sequence order, so this is the order
+    // they ran in — read from the server, not from frame arrival times.
+    let last_dequeue = |stream: &mut TcpStream, dones: usize| {
+        let mut last = 0;
+        let mut seen = 0;
+        while seen < dones {
+            match read_response(stream) {
+                Response::Running { sequence, .. } => last = last.max(sequence),
+                Response::Done(_) => seen += 1,
+                other => panic!("expected Running/Done, got {other:?}"),
             }
-            last
-        })
+        }
+        last
     };
-    let flood_clock = clock(flood, 6);
-    let polite_clock = clock(polite, 2);
-    let polite_done = polite_clock.join().unwrap();
-    let flood_done = flood_clock.join().unwrap();
+    let polite_last = last_dequeue(&mut polite, 2);
+    let flood_last = last_dequeue(&mut flood, 6);
     assert!(
-        polite_done < flood_done,
-        "fair-share violated: polite client finished at {polite_done:?}, \
-         after the flood drained at {flood_done:?}"
+        polite_last < flood_last,
+        "fair-share violated: polite client's last job dequeued at sequence \
+         {polite_last}, after the flood's last at {flood_last}"
     );
 
     assert!(matches!(read_response(&mut blocker), Response::Done(_)));
