@@ -5,10 +5,13 @@
 //! against Python Qiskit and reports a 47.9% speedup at QFT-64 thanks to
 //! the caching of Fig. 13a. Both sides here are Rust, so we report the
 //! reproducible part of the claim — the effect of the coordinate cache —
-//! plus MIRAGE vs the SABRE baseline at equal trial counts. The "cold
-//! cache" column routes on a target whose shared cache holds a single
-//! coordinate class in total, forcing a polytope scan on effectively
-//! every query.
+//! plus MIRAGE vs the SABRE baseline at equal trial counts. A MIRAGE route
+//! queries the cache only to price its DAG: each two-qubit node's class
+//! and mirror class, once per call; the mirror decisions then multiply
+//! those prices by coupler factors. The "cold cache" column routes on a
+//! target whose shared cache holds a single coordinate class in total, so
+//! that pricing pays a polytope scan on effectively every node, and the
+//! hit rate counts those per-node lookups.
 
 use mirage_circuit::consolidate::consolidate;
 use mirage_circuit::generators::qft;

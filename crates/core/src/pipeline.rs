@@ -380,19 +380,19 @@ mod tests {
     fn shared_cache_is_hit_across_metric_computations() {
         // One Target = one cost cache for the whole transpile call and
         // across calls — the seed's fresh per-branch `CostCache::new(...)`
-        // could never see these hits. Repeat queries within one router
-        // scratch are absorbed by its `CostMemo` (post-selection and the
-        // winner's metrics read the cost record through that memo too), so
-        // the shared cache sees only each class's first query per scratch.
+        // could never see these hits. The trial engine queries it once per
+        // DAG node per job to price the nodes; mirror decisions,
+        // post-selection and the winner's metrics then multiply those
+        // prices by coupler factors without touching the cache.
         let c = qft(5, false);
         let target = Target::sqrt_iswap(CouplingMap::line(5));
         let mut opts = TranspileOptions::quick(RouterKind::Mirage, 11);
         opts.use_vf2 = false;
         let _ = transpile(&c, &target, &opts).unwrap();
         let (hits, misses) = target.cache_stats();
-        assert!(hits > 0, "edge costs must hit the cached class costs");
+        assert!(hits > 0, "node prices must hit the cached class costs");
         // A second transpile on the same target starts warm: its fresh
-        // engine's memo falls through to the shared cache, which serves
+        // engine prices its nodes from the shared cache, which serves
         // every query — the miss count stays flat.
         let _ = transpile(&c, &target, &opts).unwrap();
         let (hits_after, misses_after) = target.cache_stats();

@@ -35,6 +35,10 @@
 //!   front clone, no second walk.
 //! * The 2Q-only front view is maintained incrementally as gates execute
 //!   instead of being re-filtered per candidate.
+//! * The mirror decision is priced without a cache: each 2Q node's plain
+//!   and mirror class costs are looked up once per job (`node_prices`),
+//!   and a decision multiplies both by the coupler's duration factor from
+//!   one calibration snapshot — two multiplies and one calibration read.
 //!
 //! Outputs are **bit-identical** to the pre-optimization router (kept
 //! verbatim as a test-only `legacy` fixture): residual distances are small
@@ -44,10 +48,10 @@
 //! (`tests/golden_routing.rs`) and a randomized `route == legacy::route`
 //! sweep pin this.
 
+use crate::calibration::Calibration;
 use crate::layout::Layout;
 use crate::target::Target;
 use mirage_circuit::{Circuit, Dag, Gate};
-use mirage_coverage::cache::CostMemo;
 use mirage_math::{Mat4, Rng};
 use mirage_topology::CouplingMap;
 use mirage_weyl::coords::{coords_of, WeylCoord};
@@ -179,6 +183,30 @@ pub fn node_coords(dag: &Dag) -> Vec<Option<WeylCoord>> {
         .collect()
 }
 
+/// The mirror decision's calibration-free prices per DAG node: the
+/// [`Target::gate_cost`] of each two-qubit node's class and of its mirror
+/// class `mirror_coord(w)` (1Q nodes get `None`). The router scales both by
+/// the duration factor of the coupler the gate runs on, which reproduces
+/// [`Target::gate_cost_on`] bit for bit.
+pub(crate) fn node_prices(
+    target: &Target,
+    coords: &[Option<WeylCoord>],
+) -> Vec<Option<(f64, f64)>> {
+    coords
+        .iter()
+        .map(|w| w.map(|w| (target.gate_cost(&w), target.gate_cost(&mirror_coord(&w)))))
+        .collect()
+}
+
+/// The mirror decision's two prices for a node executed on the coupler
+/// `(p1, p2)`: its [`node_prices`] entry scaled by the coupler's duration
+/// factor in `cal`.
+#[inline]
+fn prices_on((plain, mirror): (f64, f64), cal: &Calibration, p1: usize, p2: usize) -> (f64, f64) {
+    let factor = cal.edge_or_nominal(p1, p2).duration_factor;
+    (plain * factor, mirror * factor)
+}
+
 /// One scored node of the current SWAP step: its operands' physical homes
 /// and residual distance under the current layout, tagged front/extended.
 #[derive(Debug, Clone, Copy)]
@@ -193,12 +221,10 @@ struct ScoreEntry {
 ///
 /// A scratch grows to the high-water mark of the DAGs and devices it has
 /// routed and never shrinks; reusing one across calls makes the router's
-/// steady state allocation-free. Scratches carry **no routing state**
-/// between calls — only capacity, plus a [`CostMemo`] of pure
-/// `(class, edge) → cost` values (bit-identical to the shared-cache
-/// answers it fronts, epoch-invalidated on calibration swaps) — so reuse
-/// can never change results (the mark arrays are epoch-stamped: bumping a
-/// generation counter invalidates them in O(1) instead of clearing).
+/// steady state allocation-free. Scratches carry **no routing state** and
+/// no costs between calls — only capacity — so reuse can never change
+/// results (the mark arrays are epoch-stamped: bumping a generation counter
+/// invalidates them in O(1) instead of clearing).
 ///
 /// [`crate::trials::TrialEngine`] keeps a pool of these, one checked out
 /// per layout trial; standalone callers can hold one per thread. A scratch
@@ -235,11 +261,6 @@ pub struct RouterScratch {
     entry_gen: u64,
     // Score-tie buffer fed to the RNG.
     best: Vec<(usize, usize)>,
-    // Per-worker `(class, edge) → cost` memo for the mirror decision
-    // (epoch-tagged; see `Target::gate_cost_on_memo`). Value-caching only:
-    // a hit is bit-identical to the shared-cache fall-through, so — like
-    // every other field — carrying it across calls cannot change results.
-    cost_memo: CostMemo,
 }
 
 impl RouterScratch {
@@ -247,13 +268,6 @@ impl RouterScratch {
     /// use and are retained across calls).
     pub fn new() -> RouterScratch {
         RouterScratch::default()
-    }
-
-    /// The scratch's `(class, edge) → cost` memo, for cost queries made
-    /// beside routing (post-selection reads candidates' cost records
-    /// through it).
-    pub(crate) fn cost_memo(&mut self) -> &mut CostMemo {
-        &mut self.cost_memo
     }
 
     /// Grow the per-node and per-qubit arrays to fit a routing problem.
@@ -371,9 +385,10 @@ fn sum_and_swap_delta(
 
 /// Route a circuit DAG onto `target` starting from `layout`.
 ///
-/// The target prices decomposition costs for the mirror decision through
-/// its shared cost cache. `rng` only breaks score ties, so two runs with
-/// equal seeds are identical.
+/// The mirror decision prices each gate as its class cost (through the
+/// target's shared cost cache, once per node) times the coupler's duration
+/// factor under the target's current calibration. `rng` only breaks score
+/// ties, so two runs with equal seeds are identical.
 ///
 /// Allocates a fresh [`RouterScratch`] per call; hot loops should hold one
 /// and call [`route_with_scratch`] instead.
@@ -398,7 +413,8 @@ pub fn route(
 
 /// [`route`] with caller-provided working storage: the allocation-free
 /// steady-state entry point. Results are independent of the scratch's
-/// history (see [`RouterScratch`]).
+/// history (see [`RouterScratch`]). Each call prices its own DAG's nodes
+/// (a mirror-free route prices nothing, so it never builds coverage).
 pub fn route_with_scratch(
     dag: &Dag,
     coords: &[Option<WeylCoord>],
@@ -410,9 +426,15 @@ pub fn route_with_scratch(
 ) -> RoutedCircuit {
     let initial_layout = layout.clone();
     let mut circuit = Circuit::new(target.n_qubits());
+    let prices = if config.aggression.is_some() {
+        node_prices(target, coords)
+    } else {
+        Vec::new()
+    };
     let pass = route_core(
         dag,
-        coords,
+        &prices,
+        &target.calibration(),
         target,
         layout,
         config,
@@ -480,10 +502,15 @@ pub(crate) struct RoutePass {
 /// pass only evolves the layout (SABRE refinement keeps nothing but the
 /// final layout). Every decision, RNG draw and layout step is the same
 /// with or without a sink.
+///
+/// `prices` are the DAG's [`node_prices`]; a mirror-free pass
+/// (`config.aggression == None`) never reads them, so it may pass none.
+/// Mirror decisions scale them by the couplers' duration factors in `cal`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn route_core(
     dag: &Dag,
-    coords: &[Option<WeylCoord>],
+    prices: &[Option<(f64, f64)>],
+    cal: &Calibration,
     target: &Target,
     layout: Layout,
     config: &RouterConfig,
@@ -519,7 +546,6 @@ pub(crate) fn route_core(
         entry_mark,
         entry_gen,
         best,
-        cost_memo,
     } = scratch;
 
     indeg.clear();
@@ -590,18 +616,14 @@ pub(crate) fn route_core(
                     let mut accepted = false;
                     if let Some(aggr) = config.aggression {
                         mirror_candidates += 1;
-                        let w = coords[id].expect("2Q node has coords");
-                        let wm = mirror_coord(&w);
                         // Price both options on the edge the gate executes
                         // on: a calibrated slow coupler scales dc and dcm
                         // alike, which amplifies their *difference* against
                         // the hop-denominated routing term — on expensive
                         // edges the decomposition delta dominates, exactly
                         // the effect the calibration-skew experiment sweeps.
-                        // Priced through the scratch's per-worker memo, so
-                        // the steady state takes no shared-cache lock here.
-                        let dc = target.gate_cost_on_memo(cost_memo, &w, p1, p2);
-                        let dcm = target.gate_cost_on_memo(cost_memo, &wm, p1, p2);
+                        let (dc, dcm) =
+                            prices_on(prices[id].expect("2Q node is priced"), cal, p1, p2);
 
                         // Lookahead impact: the *remaining* front plus the
                         // successors this gate would release (exactly one
@@ -894,14 +916,14 @@ pub fn absorb_adjacent_swaps(c: &Circuit) -> (Circuit, usize) {
 }
 
 /// [`absorb_adjacent_swaps`] rewriting `c` in place, so a caller that owns
-/// the routed circuit pays no per-instruction copy. `classes`, when given,
-/// is a per-instruction side table (the Weyl class of each two-qubit
-/// instruction) kept aligned with `c`: a fused SWAP's entry is dropped and
-/// the block it fused into gets the class of its new matrix. Returns the
-/// number of SWAPs absorbed.
+/// the routed circuit pays no per-instruction copy. `costs`, when given,
+/// is a per-instruction side table (the [`Target::gate_cost`] of each
+/// two-qubit instruction's class) kept aligned with `c`: a fused SWAP's
+/// entry is dropped and the block it fused into is re-priced from its new
+/// matrix. Returns the number of SWAPs absorbed.
 pub(crate) fn absorb_in_place(
     c: &mut Circuit,
-    mut classes: Option<&mut Vec<Option<WeylCoord>>>,
+    mut costs: Option<(&mut Vec<Option<f64>>, &Target)>,
 ) -> usize {
     let instrs = &mut c.instructions;
     // last_touch[q] = index (into the kept prefix) of the latest
@@ -923,8 +945,9 @@ pub(crate) fn absorb_in_place(
                         // previous gate's operand order (SWAP is
                         // order-symmetric).
                         instrs[a].gate = mirror_gate(&instrs[a].gate);
-                        if let Some(classes) = classes.as_deref_mut() {
-                            classes[a] = Some(coords_of(&instrs[a].gate.matrix2()));
+                        if let Some((costs, target)) = costs.as_mut() {
+                            costs[a] =
+                                Some(target.gate_cost(&coords_of(&instrs[a].gate.matrix2())));
                         }
                         fused += 1;
                         // `a` stays the last touch of p and q.
@@ -937,14 +960,14 @@ pub(crate) fn absorb_in_place(
             last_touch[qb] = Some(kept);
         }
         instrs.swap(kept, i);
-        if let Some(classes) = classes.as_deref_mut() {
-            classes[kept] = classes[i];
+        if let Some((costs, _)) = costs.as_mut() {
+            costs[kept] = costs[i];
         }
         kept += 1;
     }
     instrs.truncate(kept);
-    if let Some(classes) = classes {
-        classes.truncate(kept);
+    if let Some((costs, _)) = costs {
+        costs.truncate(kept);
     }
     fused
 }
@@ -1631,6 +1654,74 @@ mod tests {
         }
     }
 
+    /// The router's mirror-decision prices equal the public oracle
+    /// `Target::gate_cost_on` bit for bit: every 2Q node of the golden
+    /// routing programs, on every coupler, under uniform and skewed
+    /// calibrations, and again after a hot swap on the same warm target.
+    #[test]
+    fn mirror_prices_equal_gate_cost_on_bit_for_bit() {
+        let cases = [
+            (CouplingMap::line(8), qft(8, false), 0xCA11),
+            (CouplingMap::grid(3, 3), qft(8, true), 0xCA12),
+            (
+                CouplingMap::heavy_hex(3),
+                two_local_full(10, 1, 0xC7),
+                0xCA13,
+            ),
+        ];
+        let mut checked = 0usize;
+        for (topo, circuit, cal_seed) in cases {
+            let skewed = |seed: u64| {
+                crate::calibration::Calibration::skewed(
+                    &topo,
+                    &mut Rng::new(seed),
+                    3e-3,
+                    0.25,
+                    10.0,
+                )
+                .unwrap()
+            };
+            let uniform = Target::sqrt_iswap(topo.clone());
+            let calibrated = Target::sqrt_iswap(topo.clone())
+                .with_calibration(skewed(cal_seed))
+                .unwrap();
+            let dag = Dag::from_circuit(&consolidate(&circuit));
+            let coords = node_coords(&dag);
+            let mut check = |t: &Target| {
+                let prices = node_prices(t, &coords);
+                let cal = t.calibration();
+                for (w, price) in coords.iter().zip(&prices) {
+                    let (Some(w), Some(price)) = (w, price) else {
+                        assert_eq!(w.is_some(), price.is_some());
+                        continue;
+                    };
+                    for &(a, b) in topo.edges() {
+                        let (dc, dcm) = prices_on(*price, &cal, a, b);
+                        assert_eq!(dc.to_bits(), t.gate_cost_on(w, a, b).to_bits());
+                        assert_eq!(
+                            dcm.to_bits(),
+                            t.gate_cost_on(&mirror_coord(w), a, b).to_bits()
+                        );
+                        checked += 1;
+                    }
+                }
+            };
+            check(&uniform);
+            check(&calibrated);
+            // Warm under one calibration, then swap: the same target must
+            // price under the new one at once.
+            calibrated
+                .swap_calibration(std::sync::Arc::new(skewed(cal_seed ^ 0x5A5A)))
+                .unwrap();
+            check(&calibrated);
+            uniform
+                .swap_calibration(std::sync::Arc::new(skewed(cal_seed)))
+                .unwrap();
+            check(&uniform);
+        }
+        assert!(checked > 1000, "sweep shrank: {checked}");
+    }
+
     #[test]
     fn absorb_matches_legacy_on_routed_circuits() {
         for seed in 0..8u64 {
@@ -1718,7 +1809,8 @@ mod tests {
                     );
                     let pass = route_core(
                         &dag,
-                        &coords,
+                        &node_prices(&t, &coords),
+                        &t.calibration(),
                         &t,
                         layout,
                         &config,
@@ -1741,13 +1833,15 @@ mod tests {
     }
 
     #[test]
-    fn absorb_in_place_keeps_classes_aligned() {
-        // With a class side table, in-place absorption must leave every
-        // entry equal to `coords_of` of the instruction it now sits beside,
-        // and produce the circuit the copying absorber produces.
-        let bits = |w: &WeylCoord| {
-            let (a, b, c) = w.as_tuple();
-            (a.to_bits(), b.to_bits(), c.to_bits())
+    fn absorb_in_place_keeps_costs_aligned() {
+        // With a cost side table, in-place absorption must leave every
+        // entry equal to the class cost of the instruction it now sits
+        // beside, and produce the circuit the copying absorber produces.
+        let price = |t: &Target, instr: &mirage_circuit::Instruction| {
+            instr
+                .gate
+                .is_two_qubit()
+                .then(|| t.gate_cost(&coords_of(&instr.gate.matrix2())).to_bits())
         };
         let mut total_fused = 0;
         for seed in 0..12u64 {
@@ -1756,23 +1850,19 @@ mod tests {
             let c = two_local_full(8, 2, 100 + seed);
             let aggression = [Aggression::A1, Aggression::A2, Aggression::A3][seed as usize % 3];
             let r = route_simple(&c, &t, Some(aggression), seed);
-            let mut classes: Vec<Option<WeylCoord>> = r
+            let mut costs: Vec<Option<f64>> = r
                 .circuit
                 .instructions
                 .iter()
-                .map(|i| i.gate.is_two_qubit().then(|| coords_of(&i.gate.matrix2())))
+                .map(|i| price(&t, i).map(f64::from_bits))
                 .collect();
             let mut fused_c = r.circuit.clone();
-            let fused = absorb_in_place(&mut fused_c, Some(&mut classes));
+            let fused = absorb_in_place(&mut fused_c, Some((&mut costs, &t)));
             total_fused += fused;
             assert_eq!((fused_c.clone(), fused), absorb_adjacent_swaps(&r.circuit));
-            assert_eq!(classes.len(), fused_c.instructions.len());
-            for (instr, class) in fused_c.instructions.iter().zip(&classes) {
-                let expected = instr
-                    .gate
-                    .is_two_qubit()
-                    .then(|| coords_of(&instr.gate.matrix2()));
-                assert_eq!(class.as_ref().map(bits), expected.as_ref().map(bits));
+            assert_eq!(costs.len(), fused_c.instructions.len());
+            for (instr, cost) in fused_c.instructions.iter().zip(&costs) {
+                assert_eq!(cost.map(f64::to_bits), price(&t, instr));
             }
         }
         assert!(total_fused > 0, "no absorption exercised");

@@ -39,11 +39,11 @@
 //! coverage set and the warm cost cache). [`Target::swap_calibration`]
 //! does this through `&self`: it validates that the new calibration covers
 //! every coupler, publishes it, and bumps the **calibration generation**
-//! ([`Target::calibration_generation`]). Per-edge costs cached in the
-//! [`SharedCostCache`] are epoch-tagged, and the swap advances the cache
-//! epoch, so a warm cache can never serve a cost computed under a
-//! calibration that has since been replaced — while the (much more
-//! expensive, calibration-independent) coordinate-class costs stay warm.
+//! ([`Target::calibration_generation`]). The [`SharedCostCache`] holds only
+//! calibration-free class costs, so it stays warm across the swap; every
+//! per-coupler price is that class cost times the coupler's duration factor,
+//! read from a calibration snapshot at the moment of pricing, so no price
+//! from a replaced calibration can be served.
 //!
 //! ```
 //! use mirage_core::target::Target;
@@ -57,7 +57,7 @@
 
 use crate::calibration::{Calibration, CalibrationError, QubitCalibration};
 use mirage_circuit::{Circuit, Instruction};
-use mirage_coverage::cache::{CostMemo, SharedCostCache};
+use mirage_coverage::cache::SharedCostCache;
 use mirage_coverage::set::{BasisGate, CoverageOptions, CoverageSet};
 use mirage_topology::CouplingMap;
 use mirage_weyl::coords::{coords_of, WeylCoord};
@@ -94,20 +94,8 @@ impl Default for DurationModel {
     }
 }
 
-/// Base capacity of a target's shared cost cache (coordinate classes).
+/// Capacity of a target's shared cost cache (coordinate classes).
 const DEFAULT_CACHE_CAPACITY: usize = 4096;
-
-/// Per-coupler headroom on top of [`DEFAULT_CACHE_CAPACITY`]: every
-/// coupler can hold this many edge-scoped cost entries before any LRU
-/// pressure. Without it, a wide device's `(class, edge)` entries would
-/// thrash a capacity sized for coordinate classes alone — and evict the
-/// expensive polytope-scan entries to make room for cheap multiplies.
-const EDGE_CACHE_HEADROOM: usize = 64;
-
-/// Default cost-cache capacity for a device with `n_edges` couplers.
-fn default_cache_capacity(n_edges: usize) -> usize {
-    DEFAULT_CACHE_CAPACITY + EDGE_CACHE_HEADROOM * n_edges
-}
 
 /// The paper-default coverage construction parameters for a standard
 /// (mirror-free) costing set.
@@ -166,10 +154,7 @@ pub struct Target {
     /// on a shared target; scoring paths take one snapshot per computation
     /// (an `Arc` clone), so snapshot-priced terms (1Q weights, all
     /// success/log-fidelity scoring) never mix two calibrations within one
-    /// score. Per-edge 2Q costs resolve through the epoch-tagged cache
-    /// instead: each entry is internally consistent with exactly one
-    /// calibration, and a swap mid-depth-score at worst re-prices later
-    /// edges under the new data — it can never serve stale values.
+    /// score.
     calibration: RwLock<Arc<Calibration>>,
     /// Bumped by every [`Target::swap_calibration`]; results can record the
     /// generation they were computed under.
@@ -182,7 +167,7 @@ impl Target {
     /// the coverage set is built on first cost query.
     pub fn new(topo: CouplingMap, basis: BasisGate, coverage_opts: CoverageOptions) -> Target {
         let calibration = Arc::new(Calibration::uniform(&topo));
-        let cache = SharedCostCache::new(default_cache_capacity(topo.edges().len()));
+        let cache = SharedCostCache::new(DEFAULT_CACHE_CAPACITY);
         Target {
             topo,
             basis,
@@ -202,7 +187,7 @@ impl Target {
         let cell = OnceLock::new();
         cell.set(coverage).expect("fresh cell");
         let calibration = Arc::new(Calibration::uniform(&topo));
-        let cache = SharedCostCache::new(default_cache_capacity(topo.edges().len()));
+        let cache = SharedCostCache::new(DEFAULT_CACHE_CAPACITY);
         Target {
             topo,
             basis,
@@ -281,26 +266,22 @@ impl Target {
     ) -> Result<Target, CalibrationError> {
         calibration.validate_for(&self.topo)?;
         *self.calibration.get_mut().expect("calibration poisoned") = Arc::new(calibration);
-        // The builder can run on an already-warmed target (e.g. a probed
-        // `with_coverage` target): retire any per-edge costs priced under
-        // the previous calibration, exactly like a hot swap would.
-        self.cache.advance_epoch();
         Ok(self)
     }
 
     /// Hot-swap the calibration of a **live, shared** target: validate the
-    /// new data, publish it, advance the cost-cache epoch (so per-edge
-    /// costs computed under the old calibration are never served again),
-    /// and bump the calibration generation. Everything already built —
-    /// the coverage set, the coordinate-class cost entries, in-flight
-    /// [`TrialEngine`](crate::trials::TrialEngine)s — stays warm and keeps
-    /// working; only calibration-derived values refresh.
+    /// new data, publish it, and bump the calibration generation.
+    /// Everything already built — the coverage set, the cached class
+    /// costs, in-flight [`TrialEngine`](crate::trials::TrialEngine)s —
+    /// stays warm and keeps working: cached costs are calibration-free,
+    /// and every per-coupler price is computed from a calibration snapshot
+    /// when it is needed.
     ///
-    /// Returns the new generation. Jobs scored after the swap see the new
-    /// calibration; a job mid-flight sees a consistent snapshot per scoring
-    /// computation (each takes the `Arc` once), so scores never blend two
-    /// calibrations, though different trials of one mid-swap job may land
-    /// on different sides of it.
+    /// Returns the new generation. Jobs started after the swap see the new
+    /// calibration. A [`TrialEngine`](crate::trials::TrialEngine) run takes
+    /// one snapshot for its routing passes, post-selection and winner's
+    /// figures, so a job in flight is priced wholly under the calibration
+    /// it started with.
     ///
     /// # Errors
     ///
@@ -310,9 +291,6 @@ impl Target {
     pub fn swap_calibration(&self, calibration: Arc<Calibration>) -> Result<u64, CalibrationError> {
         calibration.validate_for(&self.topo)?;
         *self.calibration.write().expect("calibration poisoned") = calibration;
-        // Publish the data before advancing the epoch: a reader observing
-        // the new epoch can only recompute against the new calibration.
-        self.cache.advance_epoch();
         Ok(self.generation.fetch_add(1, Ordering::SeqCst) + 1)
     }
 
@@ -402,77 +380,45 @@ impl Target {
     /// edge's calibrated duration factor. Pairs without a calibration entry
     /// (a circuit scored before placement) fall back to the nominal factor.
     ///
-    /// Answered through an epoch-tagged per-edge cache entry, so the hot
-    /// path (every mirror decision of every routing trial) skips both the
-    /// polytope scan and the calibration lookup — and a calibration swap
-    /// invalidates exactly these entries.
+    /// The reference price of a mirror decision: the router multiplies the
+    /// same class cost by the same factor from its calibration snapshot.
     pub fn gate_cost_on(&self, w: &WeylCoord, a: usize, b: usize) -> f64 {
-        self.cache.get_or_insert_edge_with(w, a, b, || {
-            self.gate_cost(w) * self.calibration().edge_or_nominal(a, b).duration_factor
-        })
+        self.gate_cost(w) * self.calibration().edge_or_nominal(a, b).duration_factor
     }
 
-    /// [`Target::gate_cost_on`] through a caller-owned per-worker
-    /// [`CostMemo`]: the router's steady state, where the mirror decision
-    /// queries the same handful of `(class, edge)` pairs for thousands of
-    /// gates and must not take two sharded-mutex locks per gate. A memo
-    /// miss is seeded from one [`SharedCostCache`] read at the current
-    /// epoch; a memo hit touches no shared state at all. The memo is
-    /// epoch-tagged with the same counter the shared cache uses, so a
-    /// calibration swap invalidates both identically and the returned
-    /// value is always bit-identical to [`Target::gate_cost_on`].
-    pub fn gate_cost_on_memo(&self, memo: &mut CostMemo, w: &WeylCoord, a: usize, b: usize) -> f64 {
-        let epoch = self.cache.epoch();
-        memo.get_or_insert_edge_with(w, a, b, epoch, || {
-            self.cache.get_or_insert_edge_at(w, a, b, epoch, || {
-                self.gate_cost(w) * self.calibration().edge_or_nominal(a, b).duration_factor
-            })
-        })
-    }
-
-    /// [`Target::gate_cost`] through a caller-owned per-worker
-    /// [`CostMemo`]: a memo hit takes no shared-cache lock, and every value
-    /// is the one the shared cache answered, so it is bit-identical to
-    /// [`Target::gate_cost`].
-    pub(crate) fn gate_cost_memo(&self, memo: &mut CostMemo, w: &WeylCoord) -> f64 {
-        memo.get_or_insert_with(w, self.cache.epoch(), || self.gate_cost(w))
-    }
-
-    /// [`Target::duration_weight`] for an instruction whose two-qubit Weyl
-    /// class is already known (`class` is `None` for a 1Q gate): no KAK, and
-    /// the cost comes through `memo`. Equal to [`Target::duration_weight`]
-    /// bit for bit when `class` is `coords_of` of the instruction's matrix.
-    pub(crate) fn classed_duration_weight(
+    /// [`Target::duration_weight`] for an instruction whose two-qubit class
+    /// cost is already known (`class_cost` is `None` for a 1Q gate): no KAK
+    /// and no cache query. Equal to [`Target::duration_weight`] bit for bit
+    /// when `class_cost` is [`Target::gate_cost`] of the instruction's
+    /// class.
+    pub(crate) fn priced_duration_weight(
         &self,
         cal: &Calibration,
-        memo: &mut CostMemo,
         instr: &Instruction,
-        class: Option<&WeylCoord>,
+        class_cost: Option<f64>,
     ) -> f64 {
-        match class {
+        match class_cost {
             None => cal.qubit_or_default(instr.qubits[0]).duration_1q,
-            Some(w) => self.gate_cost_on_memo(memo, w, instr.qubits[0], instr.qubits[1]),
+            Some(cost) => {
+                cost * cal
+                    .edge_or_nominal(instr.qubits[0], instr.qubits[1])
+                    .duration_factor
+            }
         }
     }
 
     /// [`Target::instruction_log_success`] for an instruction whose
-    /// two-qubit Weyl class is already known, priced like
-    /// [`Target::classed_duration_weight`].
-    pub(crate) fn classed_log_success(
+    /// two-qubit class cost is already known, priced like
+    /// [`Target::priced_duration_weight`].
+    pub(crate) fn priced_log_success(
         &self,
         cal: &Calibration,
-        memo: &mut CostMemo,
         instr: &Instruction,
-        class: Option<&WeylCoord>,
+        class_cost: Option<f64>,
     ) -> f64 {
-        match class {
+        match class_cost {
             None => ln_survival(cal.qubit_or_default(instr.qubits[0]).error_1q),
-            Some(w) => self.two_qubit_log_success(
-                cal,
-                self.gate_cost_memo(memo, w),
-                instr.qubits[0],
-                instr.qubits[1],
-            ),
+            Some(cost) => self.two_qubit_log_success(cal, cost, instr.qubits[0], instr.qubits[1]),
         }
     }
 
@@ -488,14 +434,16 @@ impl Target {
     /// snapshot: whole-circuit weighing takes the snapshot once instead of
     /// paying a lock acquisition per single-qubit gate.
     fn duration_weight_with(&self, cal: &Calibration, instr: &Instruction) -> f64 {
-        if !instr.gate.is_two_qubit() {
-            return cal.qubit_or_default(instr.qubits[0]).duration_1q;
-        }
-        self.gate_cost_on(
-            &coords_of(&instr.gate.matrix2()),
-            instr.qubits[0],
-            instr.qubits[1],
-        )
+        self.priced_duration_weight(cal, instr, self.class_cost(instr))
+    }
+
+    /// [`Target::gate_cost`] of a two-qubit instruction's class (`None` for
+    /// a 1Q gate).
+    fn class_cost(&self, instr: &Instruction) -> Option<f64> {
+        instr
+            .gate
+            .is_two_qubit()
+            .then(|| self.gate_cost(&coords_of(&instr.gate.matrix2())))
     }
 
     /// Instruction weight under the calibration: two-qubit gates cost their
@@ -507,8 +455,7 @@ impl Target {
 
     /// Duration-weighted critical path of a circuit on this target
     /// (MIRAGE-Depth's post-selection metric, paper §IV-B). One calibration
-    /// snapshot weighs the whole circuit; two-qubit costs resolve through
-    /// the epoch-tagged per-edge cache.
+    /// snapshot weighs the whole circuit.
     pub fn depth_estimate(&self, c: &Circuit) -> f64 {
         let cal = self.calibration();
         c.weighted_depth(|i| self.duration_weight_with(&cal, i))
@@ -528,12 +475,7 @@ impl Target {
     /// snapshot — the shared core that keeps whole-circuit scores on one
     /// snapshot (one lock acquisition, one consistent calibration).
     fn instruction_log_success_with(&self, cal: &Calibration, instr: &Instruction) -> f64 {
-        if !instr.gate.is_two_qubit() {
-            let q = cal.qubit_or_default(instr.qubits[0]);
-            return ln_survival(q.error_1q);
-        }
-        let w = coords_of(&instr.gate.matrix2());
-        self.two_qubit_log_success(cal, self.gate_cost(&w), instr.qubits[0], instr.qubits[1])
+        self.priced_log_success(cal, instr, self.class_cost(instr))
     }
 
     /// Natural log of one instruction's estimated success probability.
@@ -908,7 +850,7 @@ mod tests {
         let topo = CouplingMap::line(3);
         let t = Target::sqrt_iswap(topo.clone());
         assert_eq!(t.calibration_generation(), 0);
-        // Warm the per-edge cache under the uniform calibration.
+        // Warm the class cache under the uniform calibration.
         assert!((t.gate_cost_on(&WeylCoord::CNOT, 0, 1) - 1.0).abs() < 1e-12);
         assert!((t.gate_cost_on(&WeylCoord::CNOT, 0, 1) - 1.0).abs() < 1e-12);
 
@@ -926,7 +868,7 @@ mod tests {
         let generation = t.swap_calibration(Arc::new(cal)).unwrap();
         assert_eq!(generation, 1);
         assert_eq!(t.calibration_generation(), 1);
-        // The warm cache must answer with the *new* factor immediately.
+        // The warm target must price with the *new* factor immediately.
         assert!((t.gate_cost_on(&WeylCoord::CNOT, 0, 1) - 10.0).abs() < 1e-12);
         let mut c = Circuit::new(3);
         c.cx(0, 1);
@@ -945,9 +887,9 @@ mod tests {
 
     #[test]
     fn with_calibration_on_a_warmed_target_retires_stale_edge_costs() {
-        // The builder path must behave like a hot swap for the cache: a
-        // target probed before `with_calibration` (e.g. a shared
-        // `with_coverage` target) may already hold per-edge entries.
+        // `with_calibration` must behave like a hot swap: a target probed
+        // before `with_calibration` (e.g. a shared `with_coverage` target)
+        // has a warm cache, and must still price with the new factor.
         let topo = CouplingMap::line(3);
         let warmed = Target::sqrt_iswap(topo.clone());
         assert!((warmed.gate_cost_on(&WeylCoord::SWAP, 0, 1) - 1.5).abs() < 1e-12);
@@ -1015,48 +957,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn gate_cost_on_memo_matches_shared_path_across_swaps() {
-        let topo = CouplingMap::line(3);
-        let t = Target::sqrt_iswap(topo.clone());
-        let mut memo = CostMemo::new();
-        for w in [WeylCoord::CNOT, WeylCoord::SWAP, WeylCoord::ISWAP] {
-            assert_eq!(
-                t.gate_cost_on_memo(&mut memo, &w, 0, 1),
-                t.gate_cost_on(&w, 0, 1)
-            );
-        }
-        // Memo hits stop querying the shared cache entirely.
-        let queries = |t: &Target| {
-            let (h, m) = t.cache_stats();
-            h + m
-        };
-        let before = queries(&t);
-        for _ in 0..5 {
-            let _ = t.gate_cost_on_memo(&mut memo, &WeylCoord::CNOT, 0, 1);
-        }
-        assert_eq!(queries(&t), before, "memo hits must bypass the cache");
-
-        // A swap invalidates the memo exactly like the shared cache: the
-        // warm memo must answer with the new factor immediately.
-        let mut cal = Calibration::uniform(&topo);
-        cal.set_edge(
-            0,
-            1,
-            crate::calibration::EdgeCalibration {
-                duration_factor: 10.0,
-                error_2q: 0.0,
-            },
-        )
-        .unwrap();
-        t.swap_calibration(Arc::new(cal)).unwrap();
-        assert!((t.gate_cost_on_memo(&mut memo, &WeylCoord::CNOT, 0, 1) - 10.0).abs() < 1e-12);
-        assert_eq!(
-            t.gate_cost_on_memo(&mut memo, &WeylCoord::SWAP, 0, 1),
-            t.gate_cost_on(&WeylCoord::SWAP, 0, 1)
-        );
     }
 
     #[test]

@@ -22,14 +22,13 @@ use crate::layout::Layout;
 use crate::pipeline::TranspileError;
 use crate::placement::{LayoutStrategy, PlacementContext, StrategyKind, Vf2Embed};
 use crate::router::{
-    absorb_in_place, mirror_gate, node_coords, route_core, Aggression, EmitSink, RoutedCircuit,
-    RouterConfig, RouterScratch,
+    absorb_in_place, mirror_gate, node_coords, node_prices, route_core, Aggression, EmitSink,
+    RoutedCircuit, RouterConfig, RouterScratch,
 };
 use crate::target::Target;
 use mirage_circuit::{Circuit, Dag, Gate};
-use mirage_coverage::cache::CostMemo;
 use mirage_math::Rng;
-use mirage_weyl::coords::{coords_of, WeylCoord};
+use mirage_weyl::coords::coords_of;
 use std::sync::OnceLock;
 
 /// One layout trial's routed candidates, tagged by the strategy that
@@ -240,41 +239,30 @@ fn first_min<T>(scored: impl IntoIterator<Item = (f64, T)>) -> Option<(f64, T)> 
     best
 }
 
-/// The Weyl class of [`Gate::Swap`], recorded for every routing SWAP.
-fn swap_class() -> WeylCoord {
-    static CLASS: OnceLock<WeylCoord> = OnceLock::new();
-    *CLASS.get_or_init(|| coords_of(&Gate::Swap.matrix2()))
-}
-
-/// A routed candidate with its **cost record**: the Weyl class of every
-/// instruction of `routed.circuit` (`None` for one-qubit gates), in circuit
-/// order. The router records each class as it emits the instruction, from
-/// the same matrix the instruction carries (see [`Recorder`]), so pricing
-/// the record gives the same bits as pricing the circuit — without a KAK
-/// per gate. The record lives only here, beside the circuit it describes.
+/// A routed candidate with its **cost record**: the [`Target::gate_cost`]
+/// of every instruction's Weyl class in `routed.circuit` (`None` for
+/// one-qubit gates), in circuit order. The router records each cost as it
+/// emits the instruction, for the class of the matrix the instruction
+/// carries (see [`Recorder`]), so pricing the record gives the same bits as
+/// pricing the circuit — without a KAK or a cache query per gate. The
+/// record lives only here, beside the circuit it describes.
 struct Candidate {
     routed: RoutedCircuit,
-    classes: Vec<Option<WeylCoord>>,
+    costs: Vec<Option<f64>>,
 }
 
 impl Candidate {
     /// The post-selection score under `metric` (lower wins). Equal bit for
     /// bit to `swaps_inserted`, [`Target::depth_estimate`] and
-    /// `-`[`RoutedCircuit::log_success`] respectively.
-    fn selection_score(
-        &self,
-        metric: Metric,
-        target: &Target,
-        cal: &Calibration,
-        memo: &mut CostMemo,
-    ) -> f64 {
+    /// `-`[`RoutedCircuit::log_success`] under `cal` respectively.
+    fn selection_score(&self, metric: Metric, target: &Target, cal: &Calibration) -> f64 {
         match metric {
             Metric::SwapCount => self.routed.swaps_inserted as f64,
-            Metric::Depth => self.depth_estimate(target, cal, memo),
+            Metric::Depth => self.depth_estimate(target, cal),
             // Trials minimize the score, so the negated log-success ranks
             // the most-likely-to-succeed candidate first.
             Metric::EstimatedSuccess => {
-                -(self.gate_log_success(target, cal, memo)
+                -(self.gate_log_success(target, cal)
                     + target
                         .readout_log_success_with(cal, self.routed.final_layout.real_assignment()))
             }
@@ -282,61 +270,64 @@ impl Candidate {
     }
 
     /// [`Target::depth_estimate`] of the circuit, from the record.
-    fn depth_estimate(&self, target: &Target, cal: &Calibration, memo: &mut CostMemo) -> f64 {
+    fn depth_estimate(&self, target: &Target, cal: &Calibration) -> f64 {
         self.routed.circuit.weighted_depth_indexed(|i, instr| {
-            target.classed_duration_weight(cal, memo, instr, self.classes[i].as_ref())
+            target.priced_duration_weight(cal, instr, self.costs[i])
         })
     }
 
     /// [`Target::total_gate_cost`] of the circuit, from the record.
-    fn total_gate_cost(&self, target: &Target, cal: &Calibration, memo: &mut CostMemo) -> f64 {
+    fn total_gate_cost(&self, target: &Target, cal: &Calibration) -> f64 {
         self.routed
             .circuit
             .instructions
             .iter()
-            .zip(&self.classes)
-            .map(|(instr, class)| target.classed_duration_weight(cal, memo, instr, class.as_ref()))
+            .zip(&self.costs)
+            .map(|(instr, &cost)| target.priced_duration_weight(cal, instr, cost))
             .sum()
     }
 
     /// [`Target::circuit_log_success`] of the circuit, from the record.
-    fn gate_log_success(&self, target: &Target, cal: &Calibration, memo: &mut CostMemo) -> f64 {
+    fn gate_log_success(&self, target: &Target, cal: &Calibration) -> f64 {
         self.routed
             .circuit
             .instructions
             .iter()
-            .zip(&self.classes)
-            .map(|(instr, class)| target.classed_log_success(cal, memo, instr, class.as_ref()))
+            .zip(&self.costs)
+            .map(|(instr, &cost)| target.priced_log_success(cal, instr, cost))
             .sum()
     }
 }
 
 /// The emit sink of routing trials: builds the candidate circuit and
-/// records each instruction's Weyl class beside it. A plain gate takes its
-/// node's precomputed class, a mirror the class of its node's `SWAP·U`
-/// (the matrix the sink emits), and a SWAP the one SWAP class. Routing
-/// trials route the forward DAG, so the classes are the forward ones.
+/// records each instruction's class cost beside it. A plain gate takes its
+/// node's precomputed price, a mirror the class cost of its node's `SWAP·U`
+/// (the matrix the sink emits), and a SWAP the one SWAP class cost. Routing
+/// trials route the forward DAG, so the prices are the forward ones.
 struct Recorder<'s> {
     state: &'s RoutingState,
+    target: &'s Target,
     circuit: Circuit,
-    classes: Vec<Option<WeylCoord>>,
+    costs: Vec<Option<f64>>,
 }
 
 impl EmitSink for Recorder<'_> {
     fn node(&mut self, dag: &Dag, id: usize, qubits: &[usize]) {
         debug_assert!(std::ptr::eq(dag, &self.state.dag_fwd), "forward DAG only");
         self.circuit.node(dag, id, qubits);
-        self.classes.push(self.state.coords_fwd[id]);
+        self.costs
+            .push(self.state.prices_fwd[id].map(|(plain, _)| plain));
     }
 
     fn mirror(&mut self, dag: &Dag, id: usize, p1: usize, p2: usize) {
         self.circuit.mirror(dag, id, p1, p2);
-        self.classes.push(self.state.mirror_classes()[id]);
+        self.costs
+            .push(self.state.mirror_block_costs(self.target)[id]);
     }
 
     fn swap(&mut self, p1: usize, p2: usize) {
         self.circuit.swap(p1, p2);
-        self.classes.push(Some(swap_class()));
+        self.costs.push(Some(self.state.swap_cost));
     }
 }
 
@@ -439,32 +430,37 @@ pub struct TrialOutcome {
     pub candidates: usize,
 }
 
-/// The routing precompute: forward/backward DAGs and per-node Weyl
-/// coordinates. Built lazily — a transpile that takes the VF2 fast path
-/// never routes, so it never pays for this.
+/// The routing precompute: forward/backward DAGs and their per-node
+/// mirror-decision prices ([`node_prices`]), all calibration-free, so they
+/// stay valid across calibration swaps. Built lazily — a transpile that
+/// takes the VF2 fast path never routes, so it never pays for this.
 #[derive(Debug)]
 struct RoutingState {
     dag_fwd: Dag,
     dag_bwd: Dag,
-    coords_fwd: Vec<Option<WeylCoord>>,
-    coords_bwd: Vec<Option<WeylCoord>>,
-    /// `coords_of(SWAP·U)` per forward node: the class of the mirror block
-    /// the router emits when it accepts node `U`'s mirror. Built on the
-    /// first accepted mirror (SABRE runs never need it).
-    mirrors_fwd: OnceLock<Vec<Option<WeylCoord>>>,
+    prices_fwd: Vec<Option<(f64, f64)>>,
+    prices_bwd: Vec<Option<(f64, f64)>>,
+    /// [`Target::gate_cost`] of `coords_of(SWAP·U)` per forward node: the
+    /// class cost of the mirror block the router emits when it accepts
+    /// node `U`'s mirror. Built on the first accepted mirror (SABRE runs
+    /// never need it).
+    mirror_blocks_fwd: OnceLock<Vec<Option<f64>>>,
+    /// [`Target::gate_cost`] of the SWAP class.
+    swap_cost: f64,
 }
 
 impl RoutingState {
-    /// The forward nodes' mirror classes (see `mirrors_fwd`).
-    fn mirror_classes(&self) -> &[Option<WeylCoord>] {
-        self.mirrors_fwd.get_or_init(|| {
+    /// The forward nodes' mirror-block class costs (see
+    /// `mirror_blocks_fwd`).
+    fn mirror_block_costs(&self, target: &Target) -> &[Option<f64>] {
+        self.mirror_blocks_fwd.get_or_init(|| {
             self.dag_fwd
                 .nodes
                 .iter()
                 .map(|n| {
                     n.gate
                         .is_two_qubit()
-                        .then(|| coords_of(&mirror_gate(&n.gate).matrix2()))
+                        .then(|| target.gate_cost(&coords_of(&mirror_gate(&n.gate).matrix2())))
                 })
                 .collect()
         })
@@ -475,11 +471,12 @@ impl RoutingState {
 /// [`crate::placement`] strategies), SABRE forward–backward refinement,
 /// independent routing trials, and metric post-selection.
 ///
-/// The forward/backward DAGs and per-node Weyl coordinates are computed
-/// once, on first routing use; [`TrialEngine::run`] can be called
-/// repeatedly with different options (the bench harness sweeps strategies
-/// this way). The engine borrows its circuit and [`Target`]; reusing one
-/// target keeps the shared cost cache warm across runs.
+/// The forward/backward DAGs and per-node prices are computed once, on
+/// first routing use; [`TrialEngine::run`] can be called repeatedly with
+/// different options (the bench harness sweeps strategies this way). The
+/// engine borrows its circuit and [`Target`]; reusing one target keeps the
+/// shared cost cache warm across runs. Each run prices everything under
+/// one snapshot of the target's calibration.
 #[derive(Debug)]
 pub struct TrialEngine<'a> {
     target: &'a Target,
@@ -495,11 +492,8 @@ pub struct TrialEngine<'a> {
     /// runs hold exactly one per worker thread — the router's steady
     /// state stays allocation-free across trials (and across the repeated
     /// `run` calls of a serve worker's jobs on one engine). Scratches
-    /// carry no routing state — only buffer capacity and a [`CostMemo`]
-    /// of pure `(class, edge) → cost` values — so pooling never changes
-    /// results.
-    ///
-    /// [`CostMemo`]: mirage_coverage::cache::CostMemo
+    /// carry no routing state — only buffer capacity — so pooling never
+    /// changes results.
     scratch_pool: std::sync::Mutex<Vec<RouterScratch>>,
 }
 
@@ -553,14 +547,17 @@ impl<'a> TrialEngine<'a> {
             let dag_fwd = Dag::from_circuit(circuit);
             let reversed = circuit.reversed();
             let dag_bwd = Dag::from_circuit(&reversed);
-            let coords_fwd = node_coords(&dag_fwd);
-            let coords_bwd = node_coords(&dag_bwd);
+            let prices_fwd = node_prices(self.target, &node_coords(&dag_fwd));
+            // Node `i` of the backward DAG is instruction `i` of the
+            // reversed circuit: forward node `len - 1 - i`, the same gate.
+            let prices_bwd = prices_fwd.iter().rev().copied().collect();
             RoutingState {
                 dag_fwd,
                 dag_bwd,
-                coords_fwd,
-                coords_bwd,
-                mirrors_fwd: OnceLock::new(),
+                prices_fwd,
+                prices_bwd,
+                mirror_blocks_fwd: OnceLock::new(),
+                swap_cost: self.target.gate_cost(&coords_of(&Gate::Swap.matrix2())),
             }
         })
     }
@@ -585,25 +582,36 @@ impl<'a> TrialEngine<'a> {
 
     /// SABRE layout refinement: route forward, then backward over the
     /// reversed circuit, feeding each final layout into the next pass.
-    /// Only the layouts matter here, so the passes emit nothing. Cost
-    /// queries go through the target's shared cache; working storage comes
-    /// from the caller's scratch.
+    /// Only the layouts matter here, so the passes emit nothing. Mirror
+    /// decisions are priced under `cal`; working storage comes from the
+    /// caller's scratch.
     fn refine_layout(
         &self,
         config: &RouterConfig,
         mut layout: Layout,
         iters: usize,
+        cal: &Calibration,
         rng: &mut Rng,
         scratch: &mut RouterScratch,
     ) -> Layout {
         let state = self.routing_state();
         for _ in 0..iters {
-            for (dag, coords) in [
-                (&state.dag_fwd, &state.coords_fwd),
-                (&state.dag_bwd, &state.coords_bwd),
+            for (dag, prices) in [
+                (&state.dag_fwd, &state.prices_fwd),
+                (&state.dag_bwd, &state.prices_bwd),
             ] {
-                layout = route_core(dag, coords, self.target, layout, config, rng, scratch, None)
-                    .final_layout;
+                layout = route_core(
+                    dag,
+                    prices,
+                    cal,
+                    self.target,
+                    layout,
+                    config,
+                    rng,
+                    scratch,
+                    None,
+                )
+                .final_layout;
             }
         }
         layout
@@ -612,13 +620,14 @@ impl<'a> TrialEngine<'a> {
     /// One layout trial: seed a layout via the mix-selected strategy,
     /// refine it, and run the configured routing trials. The trial's
     /// entire stream of randomness comes from its [`SeedSchedule`] seed,
-    /// so the result is a pure function of `(trial, mirage, opts)` — the
-    /// caller-provided scratch is working storage only.
+    /// so the result is a pure function of `(trial, mirage, opts, cal)` —
+    /// the caller-provided scratch is working storage only.
     fn one_layout_trial(
         &self,
         trial: usize,
         mirage: bool,
         opts: &TrialOptions,
+        cal: &Calibration,
         scratch: &mut RouterScratch,
     ) -> TrialResult {
         let mut rng = Rng::new(SeedSchedule::new(opts.seed).trial_seed(trial));
@@ -647,6 +656,7 @@ impl<'a> TrialEngine<'a> {
             &RouterConfig::default(),
             layout.clone(),
             opts.fwd_bwd_iters,
+            cal,
             &mut rng,
             scratch,
         );
@@ -658,6 +668,7 @@ impl<'a> TrialEngine<'a> {
                 },
                 layout,
                 opts.fwd_bwd_iters,
+                cal,
                 &mut rng,
                 scratch,
             )
@@ -695,15 +706,17 @@ impl<'a> TrialEngine<'a> {
                 // Every DAG node emits one instruction (SWAPs add more).
                 let mut recorder = Recorder {
                     state,
+                    target: self.target,
                     circuit: Circuit {
                         n_qubits: self.target.n_qubits(),
                         instructions: Vec::with_capacity(state.dag_fwd.len()),
                     },
-                    classes: Vec::with_capacity(state.dag_fwd.len()),
+                    costs: Vec::with_capacity(state.dag_fwd.len()),
                 };
                 let pass = route_core(
                     &state.dag_fwd,
-                    &state.coords_fwd,
+                    &state.prices_fwd,
+                    cal,
                     self.target,
                     start.clone(),
                     &config,
@@ -713,13 +726,13 @@ impl<'a> TrialEngine<'a> {
                 );
                 let Recorder {
                     mut circuit,
-                    mut classes,
+                    mut costs,
                     ..
                 } = recorder;
                 let fused = if mirage && aggression != Some(Aggression::A0) {
                     // Mirage-SWAP absorption: fold leftover SWAPs that sit
                     // next to a same-pair gate into mirror blocks.
-                    absorb_in_place(&mut circuit, Some(&mut classes))
+                    absorb_in_place(&mut circuit, Some((&mut costs, self.target)))
                 } else {
                     0
                 };
@@ -732,7 +745,7 @@ impl<'a> TrialEngine<'a> {
                         mirrors_accepted: pass.mirrors_accepted + fused,
                         mirror_candidates: pass.mirror_candidates + fused,
                     },
-                    classes,
+                    costs,
                 }
             })
             .collect();
@@ -740,34 +753,35 @@ impl<'a> TrialEngine<'a> {
     }
 
     /// One layout trial, post-selected: route its candidates, score each
-    /// exactly once from its cost record (through the scratch's memo: no
-    /// KAK, no shared-cache lock), and keep the first best.
+    /// exactly once from its cost record (no KAK, no cache query), and keep
+    /// the first best.
     fn scored_layout_trial(
         &self,
         trial: usize,
         mirage: bool,
         opts: &TrialOptions,
+        cal: &Calibration,
         scratch: &mut RouterScratch,
     ) -> TrialBest {
-        let (kind, candidates) = self.one_layout_trial(trial, mirage, opts, scratch);
+        let (kind, candidates) = self.one_layout_trial(trial, mirage, opts, cal, scratch);
         let routed = candidates.len();
-        let cal = self.target.calibration();
-        let memo = scratch.cost_memo();
         let best = first_min(
             candidates
                 .into_iter()
-                .map(|c| (c.selection_score(opts.metric, self.target, &cal, memo), c)),
+                .map(|c| (c.selection_score(opts.metric, self.target, cal), c)),
         );
         (best.map(|(score, c)| (score, (kind, c))), routed)
     }
 
     /// The trial loop behind [`TrialEngine::run_detailed`]: the winning
     /// candidate with its cost record, the strategy that seeded it, and
-    /// the number of candidates scored.
+    /// the number of candidates scored. Every routing pass and score is
+    /// priced under the one calibration snapshot `cal`.
     fn post_select(
         &self,
         mirage: bool,
         opts: &TrialOptions,
+        cal: &Calibration,
     ) -> Result<(Candidate, StrategyKind, usize), TranspileError> {
         opts.validate()?;
         let n = opts.layout_trials;
@@ -801,7 +815,7 @@ impl<'a> TrialEngine<'a> {
                                 }
                                 local.push((
                                     t,
-                                    self.scored_layout_trial(t, mirage, opts, &mut scratch),
+                                    self.scored_layout_trial(t, mirage, opts, cal, &mut scratch),
                                 ));
                             }
                             self.return_scratch(scratch);
@@ -820,7 +834,7 @@ impl<'a> TrialEngine<'a> {
         } else {
             let mut scratch = self.checkout_scratch();
             for (t, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(self.scored_layout_trial(t, mirage, opts, &mut scratch));
+                *slot = Some(self.scored_layout_trial(t, mirage, opts, cal, &mut scratch));
             }
             self.return_scratch(scratch);
         }
@@ -838,6 +852,11 @@ impl<'a> TrialEngine<'a> {
     /// Run the full trial loop; like [`TrialEngine::run`] but also reports
     /// which strategy seeded the winner and how many candidates were
     /// scored (the `layout_strategies` experiment consumes this).
+    ///
+    /// The run takes one snapshot of the target's calibration and prices
+    /// every routing pass and post-selection score under it, so a
+    /// [`Target::swap_calibration`] during the run affects the next run
+    /// only.
     ///
     /// # Determinism
     ///
@@ -864,7 +883,8 @@ impl<'a> TrialEngine<'a> {
         mirage: bool,
         opts: &TrialOptions,
     ) -> Result<TrialOutcome, TranspileError> {
-        let (best, strategy, candidates) = self.post_select(mirage, opts)?;
+        let (best, strategy, candidates) =
+            self.post_select(mirage, opts, &self.target.calibration())?;
         Ok(TrialOutcome {
             best: best.routed,
             strategy,
@@ -873,7 +893,8 @@ impl<'a> TrialEngine<'a> {
     }
 
     /// [`TrialEngine::run`] plus the winner's cost figures, read from its
-    /// cost record instead of re-pricing the circuit.
+    /// cost record instead of re-pricing the circuit, under the run's
+    /// calibration snapshot.
     ///
     /// # Errors
     ///
@@ -883,16 +904,13 @@ impl<'a> TrialEngine<'a> {
         mirage: bool,
         opts: &TrialOptions,
     ) -> Result<(RoutedCircuit, WinnerCosts), TranspileError> {
-        let (best, _, _) = self.post_select(mirage, opts)?;
         let cal = self.target.calibration();
-        let mut scratch = self.checkout_scratch();
-        let memo = scratch.cost_memo();
+        let (best, _, _) = self.post_select(mirage, opts, &cal)?;
         let costs = WinnerCosts {
-            depth_estimate: best.depth_estimate(self.target, &cal, memo),
-            total_gate_cost: best.total_gate_cost(self.target, &cal, memo),
-            gate_log_success: best.gate_log_success(self.target, &cal, memo),
+            depth_estimate: best.depth_estimate(self.target, &cal),
+            total_gate_cost: best.total_gate_cost(self.target, &cal),
+            gate_log_success: best.gate_log_success(self.target, &cal),
         };
-        self.return_scratch(scratch);
         Ok((best.routed, costs))
     }
 
@@ -936,6 +954,7 @@ mod tests {
     use mirage_circuit::consolidate::consolidate;
     use mirage_circuit::generators::{qft, two_local_full};
     use mirage_topology::CouplingMap;
+    use std::sync::Arc;
 
     const PAPER_MIX: [f64; 4] = [0.05, 0.45, 0.45, 0.05];
 
@@ -1272,55 +1291,60 @@ mod tests {
     #[test]
     fn recorded_costs_equal_the_circuit_oracles_bit_for_bit() {
         // Every candidate of every layout trial — MIRAGE (mirrors plus
-        // SWAP absorption) and SABRE, uniform and skewed calibrations —
-        // must score from its cost record exactly as the public oracles
-        // score its circuit.
+        // SWAP absorption) and SABRE; uniform, skewed, and uniform warmed
+        // then hot-swapped to skewed calibrations — must score from its
+        // cost record exactly as the public oracles score its circuit.
         let (mut mirrors, mut swaps, mut fused, mut checked) = (0, 0, 0, 0);
         for (topo, circuit, cal_seed) in golden_topologies() {
             let skewed = Calibration::skewed(&topo, &mut Rng::new(cal_seed), 3e-3, 0.25, 10.0)
                 .expect("skewed covers the map");
-            for calibrated in [false, true] {
-                let target = if calibrated {
-                    Target::sqrt_iswap(topo.clone())
+            let cc = consolidate(&circuit);
+            let n_2q = cc.two_qubit_gate_count();
+            let opts = TrialOptions::quick(Metric::EstimatedSuccess, 0x901D + cal_seed);
+            for calibration in ["uniform", "skewed", "swapped"] {
+                let target = match calibration {
+                    "skewed" => Target::sqrt_iswap(topo.clone())
                         .with_calibration(skewed.clone())
-                        .unwrap()
-                } else {
-                    Target::sqrt_iswap(topo.clone())
+                        .unwrap(),
+                    _ => Target::sqrt_iswap(topo.clone()),
                 };
-                let cc = consolidate(&circuit);
-                let n_2q = cc.two_qubit_gate_count();
+                if calibration == "swapped" {
+                    // Warm the target under its boot calibration first.
+                    let _ = TrialEngine::new(&cc, &target).run(true, &opts).unwrap();
+                    target.swap_calibration(Arc::new(skewed.clone())).unwrap();
+                }
                 let engine = TrialEngine::new(&cc, &target);
-                let opts = TrialOptions::quick(Metric::EstimatedSuccess, 0x901D + cal_seed);
                 let mut scratch = RouterScratch::new();
+                let cal = target.calibration();
                 for mirage in [true, false] {
                     for trial in 0..opts.layout_trials {
                         let (_, candidates) =
-                            engine.one_layout_trial(trial, mirage, &opts, &mut scratch);
-                        let cal = target.calibration();
+                            engine.one_layout_trial(trial, mirage, &opts, &cal, &mut scratch);
                         for (t, c) in candidates.iter().enumerate() {
                             let r = &c.routed;
-                            let memo = scratch.cost_memo();
-                            let case = format!("{} mirage={mirage} trial {trial}.{t}", topo.name());
-                            assert_eq!(c.classes.len(), r.circuit.instructions.len(), "{case}");
+                            let case = format!(
+                                "{} {calibration} mirage={mirage} trial {trial}.{t}",
+                                topo.name()
+                            );
+                            assert_eq!(c.costs.len(), r.circuit.instructions.len(), "{case}");
                             assert_eq!(
-                                c.selection_score(Metric::Depth, &target, &cal, memo)
-                                    .to_bits(),
+                                c.selection_score(Metric::Depth, &target, &cal).to_bits(),
                                 target.depth_estimate(&r.circuit).to_bits(),
                                 "{case}: depth"
                             );
                             assert_eq!(
-                                c.selection_score(Metric::EstimatedSuccess, &target, &cal, memo)
+                                c.selection_score(Metric::EstimatedSuccess, &target, &cal)
                                     .to_bits(),
                                 (-r.log_success(&target)).to_bits(),
                                 "{case}: success"
                             );
                             assert_eq!(
-                                c.total_gate_cost(&target, &cal, memo).to_bits(),
+                                c.total_gate_cost(&target, &cal).to_bits(),
                                 target.total_gate_cost(&r.circuit).to_bits(),
                                 "{case}: total cost"
                             );
                             assert_eq!(
-                                c.selection_score(Metric::SwapCount, &target, &cal, memo),
+                                c.selection_score(Metric::SwapCount, &target, &cal),
                                 r.swaps_inserted as f64
                             );
                             mirrors += r.mirrors_accepted;
@@ -1336,7 +1360,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(checked, 3 * 2 * 2 * 4 * 4, "sweep shrank");
+        assert_eq!(checked, 3 * 3 * 2 * 4 * 4, "sweep shrank");
         // Every recording path ran: plain gates, mirrors, SWAPs, and
         // absorption-fused blocks.
         assert!(

@@ -38,8 +38,10 @@
 //!   panicked around it.
 //! * The service is **long-lived**: [`TranspileService::swap_calibration`]
 //!   hot-swaps the device calibration on the shared target between jobs —
-//!   validation, a generation bump, and cost-cache epoch invalidation are
-//!   handled by [`Target::swap_calibration`]; nothing is rebuilt, and each
+//!   validation and a generation bump are handled by
+//!   [`Target::swap_calibration`]; the cost cache holds only
+//!   calibration-free class costs, so it stays warm, nothing is rebuilt or
+//!   invalidated, and each
 //!   [`JobResult`] records the generation it was computed under. The
 //!   [`net::CalibrationRefresher`] drives this from a watched file.
 //! * Shutdown is graceful: [`TranspileService::shutdown`] (and `Drop`)
@@ -572,7 +574,7 @@ impl TranspileService {
     /// Hot-swap the calibration of the shared target (see
     /// [`Target::swap_calibration`]). Jobs started after the swap are
     /// scored under the new calibration — with no service restart, no
-    /// coverage-set rebuild, and no stale cached per-edge costs.
+    /// coverage-set rebuild, and no cached cost to invalidate.
     ///
     /// # Errors
     ///

@@ -7,7 +7,7 @@
 //! (mtime, length) signature changes, parses it with
 //! [`Calibration::from_text`] and hot-swaps it into the shared
 //! [`Target`] via [`Target::swap_calibration`]. Jobs already running
-//! keep their snapshot (the PR 4 epoch machinery); jobs dequeued after
+//! keep the calibration snapshot they started with; jobs dequeued after
 //! the swap see the new generation, and every served result reports
 //! which generation it ran under.
 //!

@@ -241,12 +241,12 @@ fn trials_fingerprints_invariant_across_thread_counts() {
     }
 }
 
-/// Mid-job calibration swap under parallel trials: a warm engine (scratch
-/// memos and shared cache filled under calibration A) that hot-swaps to
+/// Mid-job calibration swap under parallel trials: a warm engine (node
+/// prices and shared cache filled under calibration A) that hot-swaps to
 /// calibration B must produce — at every thread count — exactly what a
-/// cold engine on a fresh target built with B produces. This is the
-/// generation-tagging contract of the per-worker cost memo: the epoch
-/// bump from `swap_calibration` invalidates every memoized cost.
+/// cold engine on a fresh target built with B produces. The engine keeps
+/// only calibration-free class costs across runs, and each run prices
+/// couplers under its own snapshot of the target's calibration.
 #[test]
 fn calibration_swap_mid_job_matches_fresh_target_at_every_thread_count() {
     let topos = topologies();
@@ -279,8 +279,8 @@ fn calibration_swap_mid_job_matches_fresh_target_at_every_thread_count() {
         let mut opts = trials_opts(topo);
         opts.parallel = true;
         opts.threads = threads;
-        // Warm run under A: fills the pooled scratches' cost memos and the
-        // shared cache — and must still match the pinned golden.
+        // Warm run under A: fills the engine's node prices and the shared
+        // cache — and must still match the pinned golden.
         let warm = engine.run_detailed(true, &opts).expect("valid mix");
         assert_eq!(
             warm.best.circuit.fingerprint(),

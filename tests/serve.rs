@@ -65,7 +65,7 @@ fn hot_swap_changes_routing_metrics_without_rebuilding_the_target() {
     let circuit = two_local_full(5, 1, 9);
     let opts = quick_opts(7).with_metric(Metric::EstimatedSuccess);
 
-    // Warm everything: coverage set, coordinate costs, per-edge costs.
+    // Warm everything: coverage set and coordinate-class costs.
     let before = transpile(&circuit, &target, &opts).unwrap();
     assert_eq!(before.metrics.estimated_success, 1.0, "uniform device");
     assert!(target.coverage_built());
@@ -91,8 +91,8 @@ fn hot_swap_changes_routing_metrics_without_rebuilding_the_target() {
     );
 
     // ...but the swapped target never rebuilt its coverage set: its
-    // coordinate-class entries stayed warm across the swap (only per-edge
-    // entries re-priced), while the fresh target had to miss everything.
+    // coordinate-class entries stayed warm across the swap, while the
+    // fresh target had to miss everything.
     let (_, misses_after) = target.cache_stats();
     let (_, misses_fresh) = fresh.cache_stats();
     assert!(
@@ -107,7 +107,7 @@ fn hot_swap_changes_routing_metrics_without_rebuilding_the_target() {
 fn warm_cache_serves_new_edge_costs_immediately_after_swap() {
     let topo = CouplingMap::line(3);
     let target = Target::sqrt_iswap(topo.clone());
-    // Warm the per-edge entry under the nominal calibration.
+    // Warm the class cost under the nominal calibration.
     assert!((target.gate_cost_on(&WeylCoord::SWAP, 0, 1) - 1.5).abs() < 1e-12);
     let mut cal = Calibration::uniform(&topo);
     cal.set_edge(
